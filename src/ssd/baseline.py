@@ -14,7 +14,7 @@ the failure mode the coordinated kernel rules out.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from difflib import SequenceMatcher
 
 from . import depcore
@@ -56,10 +56,8 @@ class _WorkingCopy:
     dev: str
     base_version: int
     base_tree: ml.Unit
-    base_table: depcore.ElementTable
     tree: ml.Unit
     table: depcore.ElementTable
-    ops: list[editops.EditOp] = field(default_factory=list)
 
 
 def _match_map(a: list, b: list) -> dict[int, int]:
@@ -315,12 +313,7 @@ class BaselineRepo:
         base = copy.deepcopy(self.central)
         work = copy.deepcopy(self.central)
         self.devs[dev] = _WorkingCopy(
-            dev,
-            self.version,
-            base,
-            depcore.build_element_table(base),
-            work,
-            depcore.build_element_table(work),
+            dev, self.version, base, work, depcore.build_element_table(work)
         )
 
     def _copy(self, dev: str) -> _WorkingCopy:
@@ -337,7 +330,6 @@ class BaselineRepo:
         op = editops.prepare(wc.tree, wc.table, request, self.alloc)
         editops.apply_op(wc.tree, wc.table, op)
         wc.table = depcore.build_element_table(wc.tree)
-        wc.ops.append(op)
         return op
 
     def revert(self, dev: str) -> None:
@@ -345,7 +337,6 @@ class BaselineRepo:
         wc = self._copy(dev)
         wc.tree = copy.deepcopy(wc.base_tree)
         wc.table = depcore.build_element_table(wc.tree)
-        wc.ops = []
 
     def view_text(self, dev: str) -> str:
         return ml.print_unit(self._copy(dev).tree)
@@ -374,8 +365,6 @@ class BaselineRepo:
         self.all_conflicts.extend(conflicts)
         wc.base_version = self.version
         wc.base_tree = copy.deepcopy(self.central)
-        wc.base_table = depcore.build_element_table(wc.base_tree)
         wc.tree = copy.deepcopy(self.central)
         wc.table = depcore.build_element_table(wc.tree)
-        wc.ops = []
         return CheckinResult(dev, self.version, changed, merged, conflicts, self.central_text())

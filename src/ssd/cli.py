@@ -21,8 +21,8 @@ from . import depcore
 from . import minilang as ml
 from . import netwire
 from . import semantics
-from .scenario import ScenarioError, load_scenario
-from .simbench import ScenarioAssertionError, run_scenario
+from .scenario import ScenarioAssertionError, ScenarioError, load_scenario
+from .simbench import run_scenario
 from .synckernel import KernelConfig
 
 EXIT_OK = 0
@@ -144,9 +144,6 @@ def cmd_client(args, parser) -> int:
         netwire.client_session(
             host, port, args.dev, script, time_scale_ms=args.time_scale, out=sys.stdout
         )
-    except netwire.ClientAssertionError as exc:
-        print(f"assertion failed: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
     except (netwire.ClientError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -162,11 +159,7 @@ def _run_sim(args, parser, mode: str | None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        outcome = run_scenario(script, mode)
-    except ScenarioAssertionError as exc:
-        print(f"assertion failed: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    outcome = run_scenario(script, mode)
     try:
         if args.trace:
             with open(args.trace, "w", encoding="utf-8") as handle:
@@ -245,7 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    try:
+        return args.func(args, parser)
+    except ScenarioAssertionError as exc:  # a scenario's expect= failed, in sim or client
+        print(f"assertion failed: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
 
 
 if __name__ == "__main__":

@@ -61,10 +61,6 @@ class IdAllocator:
         self._next += 1
         return eid
 
-    @property
-    def next_id(self) -> int:
-        return self._next
-
 
 def annotate(unit: ml.Unit, alloc: IdAllocator) -> None:
     """Assign fresh element ids to every element node that lacks one, in
@@ -252,13 +248,6 @@ def union_tables(tables: Iterable[ElementTable]) -> ElementTable:
     return out
 
 
-def enclosing_method(eid: int, table: ElementTable) -> int | None:
-    """Nearest ancestor-or-self of kind method; None for classes, fields and
-    anything outside a method."""
-    table.info(eid)
-    return table.method_of.get(eid)
-
-
 # ---------------------------------------------------------------------------
 # Reference index
 
@@ -276,9 +265,6 @@ class RefIndex:
 
     def has(self, from_eid: int, to_eid: int) -> bool:
         return (from_eid, to_eid) in self.sources
-
-    def edges(self) -> set[tuple[int, int]]:
-        return set(self.sources)
 
 
 def ref_edges(unit: ml.Unit) -> set[tuple[int, int]]:

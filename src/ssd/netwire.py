@@ -22,19 +22,23 @@ import time
 from dataclasses import dataclass, field
 
 from .editops import EditRequest
-from .scenario import Action, ScenarioScript
-from .synckernel import (
-    Kernel,
-    KernelConfig,
-    KernelError,
-    OFF_RECORD,
-    ON_RECORD,
+from .scenario import (
+    BUFFERED,
+    DENIED,
+    DONE,
+    ERROR,
+    GRANTED,
+    MODE_BY_VERB,
+    Action,
+    Reply,
+    ScenarioScript,
+    drive,
 )
+from .synckernel import Kernel, KernelConfig, KernelError, OFF_RECORD
 
 DEFAULT_PORT = 7457
 
 _BROADCAST_KINDS = ("committed", "mode_changed")
-_MODE_BY_VERB = {"off_record": OFF_RECORD, "on_record": ON_RECORD}
 
 
 class _Conn:
@@ -228,15 +232,7 @@ class WireServer:
                         "status": report.status,
                         "context": "buffer",
                         "target": op.target,
-                        "errors": [
-                            {
-                                "code": e.code,
-                                "message": e.message,
-                                "line": e.span.line,
-                                "col": e.span.col,
-                            }
-                            for e in report.errors
-                        ],
+                        "errors": [e.to_record() for e in report.errors],
                     },
                 },
             )
@@ -297,10 +293,6 @@ class ClientError(RuntimeError):
     pass
 
 
-class ClientAssertionError(ClientError):
-    """An expect= assertion in the replayed script failed."""
-
-
 @dataclass
 class ClientResult:
     dev: str
@@ -338,19 +330,26 @@ class _LineSocket:
         return json.loads(raw.decode("utf-8"))
 
 
-def _action_request(action: Action, target=None) -> dict:
+def _action_request(action: Action, target) -> dict:
     if action.is_edit:
-        return {
-            "t": "edit",
-            "kind": action.verb,
-            "target": action.target if target is None else target,
-            "args": dict(action.args),
-        }
+        return {"t": "edit", "kind": action.verb, "target": target, "args": dict(action.args)}
     if action.verb in ("try_commit", "checkin"):
         return {"t": "commit"}
     if action.verb == "revert":
         return {"t": "revert"}
-    return {"t": "set_mode", "mode": _MODE_BY_VERB[action.verb]}
+    return {"t": "set_mode", "mode": MODE_BY_VERB[action.verb]}
+
+
+def _reply(action: Action, record: dict) -> Reply:
+    kind = record.get("t")
+    details = record.get("details") or {}
+    if kind == "error":
+        return Reply(ERROR, code=record.get("code", ""), message=record.get("message", ""))
+    if kind == "lock_denied":
+        return Reply(DENIED, target=details["target"])
+    if details.get("context") == "buffer":
+        return Reply(BUFFERED, target=details["target"], status=details["status"])
+    return Reply(GRANTED if action.is_edit else DONE)
 
 
 def client_session(
@@ -364,12 +363,12 @@ def client_session(
 ) -> ClientResult:
     """Replay the script's actions for one developer against a server.
 
-    Virtual times become wall-clock delays of `time_scale_ms` milliseconds
-    per unit. Every received line is appended to the result (and printed to
-    `out` when given); events are deduplicated by seq in case a record
-    arrives both as a direct reply and a broadcast.
+    The actions run through scenario.drive, as in the simulator. Virtual
+    times become wall-clock delays of `time_scale_ms` milliseconds per unit.
+    Every received line is appended to the result (and printed to `out`
+    when given); events are deduplicated by seq in case a record arrives
+    both as a direct reply and a broadcast.
     """
-    actions = [a for a in script.actions if a.dev == dev]
     result = ClientResult(dev, 0)
     seen_seqs: set[int] = set()
 
@@ -401,7 +400,8 @@ def client_session(
         # clients agree on when each virtual instant falls
         start = time.monotonic() - hello.get("uptime_ms", 0) / 1000.0
 
-        def drain_until(moment: float) -> None:
+        def wait_until(vt: int) -> None:
+            moment = start + vt * time_scale_ms / 1000.0
             while True:
                 remaining = moment - time.monotonic()
                 if remaining <= 0:
@@ -410,52 +410,15 @@ def client_session(
                 if record is not None:
                     note(record)
 
-        for action in actions:
-            drain_until(start + action.vt * time_scale_ms / 1000.0)
-            attempt = 0
-            target = None
-            while True:
-                cid = f"{action.line}.{attempt}"
-                line.send(
-                    dict(_action_request(action, target=target), cid=cid)
-                )
-                result.sent += 1
-                reply = await_cid(line, cid)
-                kind = reply.get("t")
-                if kind == "error":
-                    if action.expect == f"error:{reply.get('code')}":
-                        break
-                    if action.expect is not None:
-                        raise ClientAssertionError(
-                            f"{dev} line {action.line}: expected {action.expect}, "
-                            f"got error:{reply.get('code')}"
-                        )
-                    break  # tolerated, as in the simulator
-                if kind == "lock_denied":
-                    if attempt == 0 and action.expect not in (None, "denied"):
-                        raise ClientAssertionError(
-                            f"{dev} line {action.line}: expected {action.expect}, got denied"
-                        )
-                    if (
-                        action.retry.kind == "until_granted"
-                        and attempt + 1 < action.retry.attempts
-                    ):
-                        target = reply["details"]["target"]
-                        attempt += 1
-                        drain_until(
-                            time.monotonic() + action.retry.backoff_ms * time_scale_ms / 1000.0
-                        )
-                        continue
-                    break
-                if attempt == 0 and action.expect == "denied":
-                    raise ClientAssertionError(
-                        f"{dev} line {action.line}: expected denied, got {kind}"
-                    )
-                if action.expect is not None and action.expect.startswith("error:"):
-                    raise ClientAssertionError(
-                        f"{dev} line {action.line}: expected {action.expect}, got {kind}"
-                    )
-                break
+        def attempt(action: Action, n: int, target) -> Reply:
+            cid = f"{action.line}.{n}"
+            line.send(dict(_action_request(action, target), cid=cid))
+            result.sent += 1
+            return _reply(action, await_cid(line, cid))
+
+        actions = [a for a in script.actions if a.dev == dev]
+        # the client's output is what the server sent; it keeps no driver notes
+        drive(script.name, actions, attempt, wait_until, lambda **_: None)
         line.send({"t": "bye", "cid": "bye"})
         await_cid(line, "bye")
     return result

@@ -1,5 +1,5 @@
 """Scenario scripts: timed multi-developer action lists driving the
-simulator and the network client.
+simulator and the network client, and the one driver both of them run.
 
 A script is a versioned text file: header lines (`key: value`), then one
 action per line:
@@ -11,16 +11,21 @@ mapped to the model being run), revert, off_record, on_record. Targets are
 qualified names; `expect=denied` / `expect=error:CODE` assert an outcome,
 `retry=until_granted attempts=N backoff=MS` encodes a developer who waits.
 The full grammar lives in docs/scenarios.md.
+
+`drive` owns those expectation and retry semantics; a transport supplies
+only how to attempt one action and how to wait for a virtual instant.
 """
 
 from __future__ import annotations
 
+import heapq
 import shlex
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from . import editops
-from .synckernel import KernelConfig
+from .synckernel import OFF_RECORD, ON_RECORD, KernelConfig
 
 FORMAT_VERSION = 1
 
@@ -28,6 +33,7 @@ MODES = ("ssd", "baseline", "both")
 
 CONTROL_VERBS = frozenset(["try_commit", "checkin", "revert", "off_record", "on_record"])
 VERBS = CONTROL_VERBS | editops.EDIT_KINDS
+MODE_BY_VERB = {"off_record": OFF_RECORD, "on_record": ON_RECORD}
 
 # which option keys each edit kind forwards into EditRequest.args
 _INT_ARGS = frozenset(["at"])
@@ -40,6 +46,10 @@ _NO_TARGET = frozenset(["create_class"])
 
 class ScenarioError(ValueError):
     """Malformed scenario file; message carries the line number."""
+
+
+class ScenarioAssertionError(AssertionError):
+    """An expect= assertion failed; the message carries the mismatch."""
 
 
 @dataclass(frozen=True)
@@ -228,3 +238,88 @@ def load_scenario(path: str | Path) -> ScenarioScript:
     project_path = path.parent / script.project
     script.project_text = project_path.read_text()
     return script
+
+
+# ---------------------------------------------------------------------------
+# Driver
+
+GRANTED = "granted"
+DENIED = "denied"
+BUFFERED = "buffered"
+DONE = "done"
+ERROR = "error"
+
+
+@dataclass(frozen=True)
+class Reply:
+    """What one attempt of an action came to, whatever the transport."""
+
+    kind: str  # GRANTED | DENIED | BUFFERED | DONE | ERROR
+    target: int | str | None = None  # denied: element id to retry; buffered: op target
+    status: str = ""  # buffered: the private gate verdict
+    code: str = ""  # error
+    message: str = ""
+
+    def __str__(self) -> str:
+        return f"error:{self.code} ({self.message})" if self.kind == ERROR else self.kind
+
+
+def _meets_expectation(action: Action, n: int, reply: Reply) -> bool:
+    if action.expect is None:
+        return True
+    if action.expect == "denied":
+        # only the first attempt is asserted; a retry may be granted
+        return reply.kind == DENIED or (n > 0 and reply.kind == GRANTED)
+    return action.expect == f"error:{reply.code}" and reply.kind == ERROR
+
+
+def drive(
+    name: str,
+    actions: list[Action],
+    attempt: Callable[[Action, int, object], Reply],
+    wait_until: Callable[[int], None],
+    note: Callable[..., None],
+) -> int:
+    """Run actions in (virtual time, developer, line) order, applying their
+    expect= and retry= options; returns the blocked virtual ms.
+
+    `attempt(action, n, target)` performs attempt n (0 first) of an action
+    against `target`; `wait_until(vt)` is called before each attempt. A
+    denied edit with retry=until_granted falls due again `backoff` virtual
+    ms after the denial, re-targeted by the element id the denial names, and
+    does not hold back its developer's later actions. `note(**payload)`
+    records expected_error, error, gave_up and buffered outcomes. Raises
+    ScenarioAssertionError on a violated expectation.
+    """
+    heap = [(a.vt, a.dev, a.line, 0, a.target) for a in actions]
+    heapq.heapify(heap)
+    by_line = {a.line: a for a in actions}
+    blocked = 0
+    while heap:
+        vt, dev, line, n, target = heapq.heappop(heap)
+        action = by_line[line]
+        wait_until(vt)
+        reply = attempt(action, n, target)
+        if not _meets_expectation(action, n, reply):
+            raise ScenarioAssertionError(
+                f"{name} line {line} ({dev} {action.verb}): "
+                f"expected {action.expect}, got {reply}"
+            )
+        if reply.kind == ERROR:
+            if action.expect is None:
+                note(action="error", dev=dev, code=reply.code, message=reply.message, line=line)
+            else:
+                note(action="expected_error", dev=dev, code=reply.code, line=line)
+        elif reply.kind == BUFFERED:
+            note(
+                action="buffered", dev=dev, kind=action.verb, target=reply.target, status=reply.status
+            )
+        elif reply.kind == GRANTED and n > 0:
+            blocked += vt - action.vt
+        elif reply.kind == DENIED and action.retry.kind == "until_granted":
+            if n + 1 < action.retry.attempts:
+                due = vt + action.retry.backoff_ms
+                heapq.heappush(heap, (due, dev, line, n + 1, reply.target))
+            else:
+                note(action="gave_up", dev=dev, line=line, attempts=n + 1)
+    return blocked

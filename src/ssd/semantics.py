@@ -30,6 +30,15 @@ class BuildError:
     def sort_key(self) -> tuple[int, str]:
         return (self.span.start, self.code)
 
+    def to_record(self) -> dict:
+        """The error as it appears in build_status events and replies."""
+        return {
+            "code": self.code,
+            "message": self.message,
+            "line": self.span.line,
+            "col": self.span.col,
+        }
+
 
 @dataclass
 class RefSite:
@@ -49,15 +58,13 @@ class RefSite:
 @dataclass
 class BindingTable:
     sites: list[RefSite] = field(default_factory=list)
-    refs: dict[tuple[int, int], int] = field(default_factory=dict)  # span -> target eid
-    scopes: dict[str, dict[str, int]] = field(default_factory=dict)
+    classes: dict[str, int] = field(default_factory=dict)  # class name -> eid
     # Keyed by node identity: spans are only unique for freshly parsed files,
     # not for trees assembled from edit operations.
     _site_by_node: dict[int, RefSite] = field(default_factory=dict)
 
     def add(self, site: RefSite) -> None:
         self.sites.append(site)
-        self.refs[(site.span.start, site.span.end)] = site.target
         self._site_by_node[id(site.node)] = site
 
     def site_of(self, node) -> RefSite | None:
@@ -114,7 +121,7 @@ class _Resolver:
                 self.error(cls.span, "duplicate-declaration", f"duplicate class '{cls.name}'")
             else:
                 self.classes[cls.name] = cls
-        self.table.scopes["classes"] = {
+        self.table.classes = {
             name: cls.eid for name, cls in self.classes.items() if cls.eid is not None
         }
         for cls in self.classes.values():
@@ -144,10 +151,6 @@ class _Resolver:
                     )
                 else:
                     methods[member.name] = member
-        self.table.scopes[cls.name] = {
-            **{f.name: f.eid for f in fields.values() if f.eid is not None},
-            **{m.name: m.eid for m in methods.values() if m.eid is not None},
-        }
         for member in cls.members:
             if isinstance(member, ml.FieldDecl):
                 self._type_ref(member, "type_name", member.span, owner=member.eid)
@@ -269,15 +272,6 @@ def resolve(unit: ml.Unit) -> ResolveResult:
     return _Resolver(unit).run()
 
 
-def bind(unit: ml.Unit) -> BindingTable | BuildReport:
-    """Complete binding table on success, otherwise an unbuildable report
-    listing every unresolved reference, unknown type, and duplicate."""
-    result = resolve(unit)
-    if result.errors:
-        return BuildReport(UNBUILDABLE, result.errors)
-    return result.table
-
-
 # ---------------------------------------------------------------------------
 # Type checking
 
@@ -354,7 +348,7 @@ class _Checker:
                 self._stmt(child, method)
 
     def _known_type(self, name: str) -> bool:
-        return name in ml.BUILTIN_TYPES or name in self.table.scopes.get("classes", {})
+        return name in ml.BUILTIN_TYPES or name in self.table.classes
 
     def _condition(self, cond) -> None:
         actual = self._type(cond)
@@ -449,13 +443,6 @@ class _Checker:
                             )
             return decl.ret_type
         raise TypeError(f"not an expression node: {expr!r}")
-
-
-def type_check(unit: ml.Unit, bindings: BindingTable) -> BuildReport:
-    """Check assignments, initializers, conditions, operators, and call
-    arity/argument types against a binding table."""
-    errors = _Checker(unit, bindings).run()
-    return BuildReport(UNBUILDABLE if errors else BUILDABLE, errors)
 
 
 def build_gate(unit: ml.Unit, version_checked: str = "") -> GateResult:

@@ -7,26 +7,35 @@ repository (isolated working copies, conflicts surface at checkin). Running
 both on the same script yields the headline metric: conflicts_prevented, the
 number of baseline merge conflicts the kernel turned into early denials.
 
-Execution is a single-threaded discrete-event loop over virtual time; ties
-break by (developer name, script line). Identical inputs produce
-byte-identical traces.
+Execution is a single-threaded discrete-event loop over virtual time
+(scenario.drive, the same driver the network client runs); ties break by
+(developer name, script line). Identical inputs produce byte-identical
+traces.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import baseline as baseline_mod
 from . import editops
-from .scenario import Action, ScenarioScript, parse_scenario
-from .synckernel import Kernel, KernelError, OFF_RECORD, ON_RECORD
-
-
-class ScenarioAssertionError(AssertionError):
-    """An expect= assertion failed; the message carries the mismatch."""
+from .scenario import (
+    BUFFERED,
+    DENIED,
+    DONE,
+    ERROR,
+    GRANTED,
+    MODE_BY_VERB,
+    Action,
+    Reply,
+    ScenarioAssertionError,  # re-exported for callers of run_scenario
+    ScenarioScript,
+    drive,
+    parse_scenario,
+)
+from .synckernel import Kernel, KernelError, OFF_RECORD
 
 
 @dataclass
@@ -108,10 +117,6 @@ class SimOutcome:
         )
 
 
-def _heap_entries(script: ScenarioScript) -> list[tuple[int, str, int, int]]:
-    return [(a.vt, a.dev, a.line, 0) for a in script.actions]
-
-
 class _SsdRun:
     def __init__(self, script: ScenarioScript, probe=None):
         self.script = script
@@ -122,9 +127,8 @@ class _SsdRun:
             self.kernel.register(dev)
         self.trace: list[str] = []
         self.metrics = Metrics("ssd")
-        self.retry_eid: dict[int, int] = {}
-        self.first_vt: dict[int, int] = {}
         self._drained = 0
+        self._stepped = False
 
     def _drain(self) -> None:
         for event in self.kernel.events[self._drained :]:
@@ -140,101 +144,49 @@ class _SsdRun:
             json.dumps({"model": "ssd", "vt": self.now, "note": payload}, sort_keys=True)
         )
 
-    def _abort(self, action: Action, expected: str, actual: str) -> None:
-        raise ScenarioAssertionError(
-            f"{self.script.name} line {action.line} ({action.dev} {action.verb}):\n"
-            f"  expected: {expected}\n"
-            f"  actual:   {actual}"
-        )
+    def _settle(self) -> None:
+        """Close the previous step: its kernel events follow the driver's
+        notes on it in the trace, then the probe sees the kernel."""
+        self._drain()
+        if self.probe is not None:
+            self.probe(self.kernel)
 
-    def _unexpected_error(self, action: Action, exc: KernelError) -> None:
-        if action.expect == f"error:{exc.code}":
-            self._note(action="expected_error", dev=action.dev, code=exc.code, line=action.line)
-            return
-        if action.expect is not None:
-            self._abort(action, action.expect, f"error:{exc.code} ({exc.message})")
-        self._note(
-            action="error", dev=action.dev, code=exc.code, message=exc.message, line=action.line
-        )
+    def _advance(self, vt: int) -> None:
+        if self._stepped:
+            self._settle()
+        self._stepped = True
+        self.now = vt
+        self.kernel.check_leases(vt)
+        self._drain()
 
-    def _edit(self, action: Action, attempt: int, heap) -> None:
-        if self.kernel.devs[action.dev].mode == OFF_RECORD:
-            if action.expect is not None:
-                self._abort(action, action.expect, "buffered off the record")
-            try:
-                op, report = self.kernel.buffer_edit(action.dev, action.request())
-            except KernelError as exc:
-                self._unexpected_error(action, exc)
-                return
-            self._note(
-                action="buffered",
-                dev=action.dev,
-                kind=op.kind,
-                target=op.target,
-                status=report.status,
-            )
-            return
-        target = action.target if attempt == 0 else self.retry_eid[action.line]
-        request = editops.EditRequest(action.verb, target, dict(action.args))
+    def _attempt(self, action: Action, n: int, target) -> Reply:
+        dev = action.dev
         try:
-            outcome = self.kernel.request_edit(action.dev, request)
-        except KernelError as exc:
-            self._unexpected_error(action, exc)
-            return
-        if action.expect is not None and action.expect.startswith("error:"):
-            self._abort(action, action.expect, "granted" if outcome.granted else "denied")
-        if outcome.granted:
-            if attempt == 0 and action.expect == "denied":
-                self._abort(action, "denied", "granted")
-            if attempt > 0:
-                self.metrics.total_blocked_virtual_ms += self.now - self.first_vt[action.line]
-            return
-        if attempt == 0:
-            self.first_vt[action.line] = self.now
-            self.retry_eid[action.line] = outcome.events[0].details["target"]
-        if action.retry.kind == "until_granted":
-            if attempt + 1 < action.retry.attempts:
-                heapq.heappush(
-                    heap, (self.now + action.retry.backoff_ms, action.dev, action.line, attempt + 1)
-                )
-            else:
-                self._note(
-                    action="gave_up", dev=action.dev, line=action.line, attempts=attempt + 1
-                )
-
-    def _control(self, action: Action) -> None:
-        try:
+            if action.is_edit:
+                request = editops.EditRequest(action.verb, target, dict(action.args))
+                if self.kernel.devs[dev].mode == OFF_RECORD:
+                    op, report = self.kernel.buffer_edit(dev, request)
+                    return Reply(BUFFERED, target=op.target, status=report.status)
+                outcome = self.kernel.request_edit(dev, request)
+                if outcome.granted:
+                    return Reply(GRANTED)
+                return Reply(DENIED, target=outcome.op.target)
             if action.verb in ("try_commit", "checkin"):
-                self.kernel.try_commit(action.dev)
+                self.kernel.try_commit(dev)
             elif action.verb == "revert":
-                self.kernel.revert(action.dev)
-            elif action.verb == "off_record":
-                self.kernel.set_mode(action.dev, OFF_RECORD)
-            elif action.verb == "on_record":
-                self.kernel.set_mode(action.dev, ON_RECORD)
+                self.kernel.revert(dev)
+            else:
+                self.kernel.set_mode(dev, MODE_BY_VERB[action.verb])
         except KernelError as exc:
-            self._unexpected_error(action, exc)
-            return
-        if action.expect is not None:
-            self._abort(action, action.expect, "succeeded")
+            return Reply(ERROR, code=exc.code, message=exc.message)
+        return Reply(DONE)
 
     def run(self) -> RunResult:
-        heap = _heap_entries(self.script)
-        heapq.heapify(heap)
-        by_line = {a.line: a for a in self.script.actions}
-        while heap:
-            vt, _dev, line, attempt = heapq.heappop(heap)
-            self.now = vt
-            action = by_line[line]
-            self.kernel.check_leases(vt)
-            self._drain()
-            if action.is_edit:
-                self._edit(action, attempt, heap)
-            else:
-                self._control(action)
-            self._drain()
-            if self.probe is not None:
-                self.probe(self.kernel)
+        self.metrics.total_blocked_virtual_ms = drive(
+            self.script.name, self.script.actions, self._attempt, self._advance, self._note
+        )
+        if self._stepped:
+            self._settle()
         for event in self.kernel.events:
             if event.kind == "committed":
                 self.metrics.commits += 1
@@ -300,13 +252,9 @@ class _BaselineRun:
             self._note(action="ignored", dev=action.dev, verb=action.verb)
 
     def run(self) -> RunResult:
-        heap = _heap_entries(self.script)
-        heapq.heapify(heap)
-        by_line = {a.line: a for a in self.script.actions}
-        while heap:
-            vt, _dev, line, _attempt = heapq.heappop(heap)
-            self.now = vt
-            self._step(by_line[line])
+        for action in sorted(self.script.actions, key=lambda a: (a.vt, a.dev, a.line)):
+            self.now = action.vt
+            self._step(action)
         self.metrics.merge_invocations = self.repo.merge_invocations
         return RunResult(
             "baseline", self.metrics, self.trace, self.repo.central_text(), self.repo

@@ -156,13 +156,6 @@ class ModeOutcome:
     events: list[KernelEvent]
 
 
-def _error_records(errors: list[semantics.BuildError]) -> list[dict]:
-    return [
-        {"code": e.code, "message": e.message, "line": e.span.line, "col": e.span.col}
-        for e in errors
-    ]
-
-
 def replay_onto(
     tree: ml.Unit, ops: list[editops.EditOp]
 ) -> tuple[ml.Unit, depcore.ElementTable]:
@@ -408,7 +401,7 @@ class Kernel:
                 ov.dev,
                 status=result.report.status,
                 context=context,
-                errors=_error_records(result.report.errors),
+                errors=[e.to_record() for e in result.report.errors],
             )
         )
         return result.report

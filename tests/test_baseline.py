@@ -250,7 +250,7 @@ def test_checkin_always_lands_and_resyncs():
     assert repo.view_text("d2") == repo.central_text()
     wc = repo.devs["d2"]
     assert wc.base_version == repo.version
-    assert wc.ops == []
+    assert wc.base_tree == wc.tree == repo.central  # no edits left pending
 
 
 def test_conflict_record_shape():

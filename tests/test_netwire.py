@@ -12,6 +12,7 @@ import pytest
 from ssd import netwire
 from ssd import simbench
 from ssd.netwire import ClientError, WireServer, _LineSocket, client_session
+from ssd.scenario import ScenarioAssertionError
 from ssd.synckernel import KernelConfig
 
 GOLDEN_LOG = Path(__file__).resolve().parent / "golden" / "wire" / "usecase_session.log"
@@ -317,6 +318,52 @@ def test_wire_walkthrough_matches_in_process_event_log(tmp_path):
     assert alice_kinds.count("committed") == 2  # bob's broadcast and her own
 
 
+PENDING_RETRY_PROJECT = """\
+class Demo {
+    int x;
+
+    void Foo(int i) {
+    }
+}
+"""
+
+# alice's retry of the rename is still pending when her vt-30 edit falls due
+PENDING_RETRY_SCRIPT = """\
+format: 1
+project: retry.mj
+developers: alice bob
+mode: ssd
+auto_commit: false
+
+10 bob rename_method Demo.Foo new_name=Foo1
+20 alice rename_method Demo.Foo new_name=Foo2 retry=until_granted backoff=60
+30 alice set_field_init Demo.x init=5
+50 bob try_commit
+100 alice try_commit
+"""
+
+
+def test_pending_retry_does_not_hold_back_later_actions_on_the_wire(tmp_path):
+    script = simbench.parse_scenario(
+        PENDING_RETRY_SCRIPT, name="retry.ssd", project_text=PENDING_RETRY_PROJECT
+    )
+    log_path = tmp_path / "session.log"
+    with serving(script.project_text, script.config, session_log=str(log_path)) as server:
+        run_clients(server, script)
+    wire_log = log_path.read_text().splitlines()
+
+    events = simbench.run_scenario(script, "ssd").results["ssd"].engine.events
+    assert wire_log == [e.to_json() for e in events]
+    # the vt-30 edit lands before bob's commit; the granted retry after it
+    kinds = [(e.dev, e.kind, e.details.get("kind")) for e in events]
+    assert kinds.index(("alice", "edit_applied", "set_field_init")) < kinds.index(
+        ("bob", "committed", None)
+    )
+    assert kinds.index(("bob", "committed", None)) < kinds.index(
+        ("alice", "edit_applied", "rename_method")
+    )
+
+
 def test_client_session_asserts_expectations(tmp_path):
     bad = simbench.parse_scenario(
         "format: 1\nproject: usecase.mj\ndevelopers: solo\nmode: ssd\nauto_commit: false\n\n"
@@ -325,7 +372,7 @@ def test_client_session_asserts_expectations(tmp_path):
         project_text=DEMO,
     )
     with serving() as server:
-        with pytest.raises(netwire.ClientAssertionError, match="expected denied"):
+        with pytest.raises(ScenarioAssertionError, match="expected denied"):
             client_session(server.host, server.port, "solo", bad, time_scale_ms=1.0)
 
 

@@ -196,3 +196,161 @@ def test_shipped_scenario_files_load():
         script = scenario.load_scenario(root / name)
         assert script.actions, name
         assert script.project_text, name
+
+
+# --- the driver, over a scripted fake transport ---
+
+
+class FakeTransport:
+    """Answers attempts from a script of replies keyed by (line, attempt)
+    and records every call the driver makes."""
+
+    def __init__(self, replies):
+        self.replies = replies
+        self.calls = []
+        self.notes = []
+
+    def attempt(self, action, n, target):
+        self.calls.append(("attempt", action.line, n, target))
+        success = scenario.GRANTED if action.is_edit else scenario.DONE
+        return self.replies.get((action.line, n), scenario.Reply(success))
+
+    def wait_until(self, vt):
+        self.calls.append(("wait", vt))
+
+    def note(self, **payload):
+        self.notes.append(payload)
+
+    def drive(self, script):
+        return scenario.drive(
+            script.name, script.actions, self.attempt, self.wait_until, self.note
+        )
+
+
+DENIED_42 = scenario.Reply(scenario.DENIED, target=42)
+
+
+def test_drive_retries_a_denial_until_granted_and_counts_blocked_time():
+    script = parse(
+        "10 alice rename_method Demo.Foo new_name=Foo2 expect=denied "
+        "retry=until_granted attempts=5 backoff=40\n"
+    )
+    fake = FakeTransport({(4, 0): DENIED_42, (4, 1): DENIED_42})
+    assert fake.drive(script) == 80  # denied at 10 and 50, granted at 90
+    assert fake.calls == [
+        ("wait", 10), ("attempt", 4, 0, "Demo.Foo"),
+        ("wait", 50), ("attempt", 4, 1, 42),
+        ("wait", 90), ("attempt", 4, 2, 42),
+    ]
+    assert fake.notes == []
+
+
+def test_drive_retargets_each_retry_by_the_denied_element_id():
+    script = parse(
+        "10 alice rename_method Demo.Foo new_name=Foo2 retry=until_granted backoff=5\n"
+    )
+    fake = FakeTransport({(4, 0): DENIED_42, (4, 1): scenario.Reply(scenario.DENIED, target=7)})
+    fake.drive(script)
+    assert [c[3] for c in fake.calls if c[0] == "attempt"] == ["Demo.Foo", 42, 7]
+
+
+def test_drive_gives_up_after_the_attempt_budget():
+    script = parse(
+        "10 alice rename_method Demo.Foo new_name=Foo2 retry=until_granted attempts=3 backoff=10\n"
+    )
+    fake = FakeTransport({(4, n): DENIED_42 for n in range(5)})
+    assert fake.drive(script) == 0
+    assert [c for c in fake.calls if c[0] == "wait"] == [("wait", 10), ("wait", 20), ("wait", 30)]
+    assert fake.notes == [{"action": "gave_up", "dev": "alice", "line": 4, "attempts": 3}]
+
+
+def test_drive_without_retry_records_the_denial_and_moves_on():
+    script = parse("10 alice rename_method Demo.Foo new_name=Foo2\n20 alice try_commit\n")
+    fake = FakeTransport({(4, 0): DENIED_42})
+    assert fake.drive(script) == 0
+    assert [c[1:3] for c in fake.calls if c[0] == "attempt"] == [(4, 0), (5, 0)]
+    assert fake.notes == []
+
+
+def test_drive_pending_retry_does_not_hold_back_later_actions():
+    script = parse(
+        "20 alice rename_method Demo.Foo new_name=Foo2 retry=until_granted backoff=60\n"
+        "30 alice set_field_init Demo.x init=5\n"
+        "50 bob try_commit\n"
+    )
+    fake = FakeTransport({(4, 0): DENIED_42})
+    fake.drive(script)
+    assert [c[1:3] for c in fake.calls if c[0] == "attempt"] == [(4, 0), (5, 0), (6, 0), (4, 1)]
+
+
+def test_drive_ties_break_by_developer_then_line():
+    script = parse("10 bob try_commit\n10 alice revert\n10 alice try_commit\n")
+    fake = FakeTransport({})
+    fake.drive(script)
+    assert [c[1] for c in fake.calls if c[0] == "attempt"] == [5, 6, 4]
+
+
+def test_drive_matches_an_expected_error_code():
+    script = parse("10 alice try_commit expect=error:empty-overlay\n")
+    fake = FakeTransport(
+        {(4, 0): scenario.Reply(scenario.ERROR, code="empty-overlay", message="nothing")}
+    )
+    fake.drive(script)
+    assert fake.notes == [
+        {"action": "expected_error", "dev": "alice", "code": "empty-overlay", "line": 4}
+    ]
+
+
+def test_drive_rejects_a_different_error_code():
+    script = parse("10 alice try_commit expect=error:empty-overlay\n")
+    fake = FakeTransport(
+        {(4, 0): scenario.Reply(scenario.ERROR, code="unbuildable", message="broken")}
+    )
+    with pytest.raises(scenario.ScenarioAssertionError) as exc:
+        fake.drive(script)
+    assert str(exc.value) == (
+        "<inline> line 4 (alice try_commit): "
+        "expected error:empty-overlay, got error:unbuildable (broken)"
+    )
+
+
+def test_drive_rejects_success_where_an_error_was_expected():
+    script = parse("10 alice try_commit expect=error:empty-overlay\n")
+    with pytest.raises(scenario.ScenarioAssertionError, match="got done$"):
+        FakeTransport({}).drive(script)
+
+
+def test_drive_rejects_a_grant_where_a_denial_was_expected():
+    script = parse("10 alice rename_method Demo.Foo new_name=Bar expect=denied\n")
+    with pytest.raises(scenario.ScenarioAssertionError) as exc:
+        FakeTransport({}).drive(script)
+    assert str(exc.value) == "<inline> line 4 (alice rename_method): expected denied, got granted"
+
+
+def test_drive_notes_tolerated_errors_and_buffered_edits():
+    script = parse(
+        "10 alice rename_method Nope.x new_name=y\n20 bob add_param Demo.Foo type=int name=p\n"
+    )
+    fake = FakeTransport(
+        {
+            (4, 0): scenario.Reply(scenario.ERROR, code="unknown-element", message="no Nope"),
+            (5, 0): scenario.Reply(scenario.BUFFERED, target=3, status="buildable"),
+        }
+    )
+    fake.drive(script)
+    assert fake.notes == [
+        {
+            "action": "error",
+            "dev": "alice",
+            "code": "unknown-element",
+            "message": "no Nope",
+            "line": 4,
+        },
+        {
+            "action": "buffered",
+            "dev": "bob",
+            "kind": "add_param",
+            "target": 3,
+            "status": "buildable",
+        },
+    ]

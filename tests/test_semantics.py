@@ -201,3 +201,25 @@ def test_binding_sites_point_at_declarations():
     assert targets[("call", "read")] == read.eid
     owners = {s.owner for s in result.table.sites}
     assert read.body[0].eid in owners and m.body[0].eid in owners
+
+
+def test_a_class_named_classes_is_type_checked_like_any_other():
+    # the class map must not share a namespace with per-class member scopes
+    for name in ("K", "classes"):
+        src = textwrap.dedent(
+            f"""\
+            class {name} {{
+            }}
+
+            class Main {{
+                void m() {{
+                    {name} c;
+                    c = 1;
+                }}
+            }}
+            """
+        )
+        errors = gated(src).report.errors
+        assert [(e.code, e.message) for e in errors] == [
+            ("type-mismatch", f"expected {name}, got int")
+        ], name
