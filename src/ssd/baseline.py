@@ -55,7 +55,7 @@ class CheckinResult:
 class _WorkingCopy:
     dev: str
     base_version: int
-    base_tree: ml.Unit
+    base_tree: ml.Unit  # a central tree, shared and only ever read
     tree: ml.Unit
     table: depcore.ElementTable
 
@@ -310,10 +310,9 @@ class BaselineRepo:
     def register(self, dev: str) -> None:
         if dev in self.devs:
             raise ValueError(f"developer {dev!r} already registered")
-        base = copy.deepcopy(self.central)
         work = copy.deepcopy(self.central)
         self.devs[dev] = _WorkingCopy(
-            dev, self.version, base, work, depcore.build_element_table(work)
+            dev, self.version, self.central, work, depcore.build_element_table(work)
         )
 
     def _copy(self, dev: str) -> _WorkingCopy:
@@ -350,7 +349,7 @@ class BaselineRepo:
         wc = self._copy(dev)
         self.checkins += 1
         if wc.base_version == self.version:
-            merged_tree = copy.deepcopy(wc.tree)
+            merged_tree = wc.tree  # adopted: the working copy gets a fresh copy below
             conflicts: list[Conflict] = []
             merged = False
         else:
@@ -364,7 +363,7 @@ class BaselineRepo:
             self.central_table = depcore.build_element_table(self.central)
         self.all_conflicts.extend(conflicts)
         wc.base_version = self.version
-        wc.base_tree = copy.deepcopy(self.central)
+        wc.base_tree = self.central
         wc.tree = copy.deepcopy(self.central)
         wc.table = depcore.build_element_table(wc.tree)
         return CheckinResult(dev, self.version, changed, merged, conflicts, self.central_text())

@@ -267,15 +267,19 @@ class RefIndex:
         return (from_eid, to_eid) in self.sources
 
 
-def ref_edges(unit: ml.Unit) -> set[tuple[int, int]]:
-    """Best-effort (owner element, target declaration) pairs for one tree.
-    Unresolvable references simply contribute nothing."""
-    result = semantics.resolve(unit)
+def edges_of(bindings: semantics.BindingTable) -> set[tuple[int, int]]:
+    """(owner element, target declaration) pairs of a binding table.
+    Unresolvable references have no site and so contribute nothing."""
     return {
         (site.owner, site.target)
-        for site in result.table.sites
+        for site in bindings.sites
         if site.owner is not None and site.target is not None
     }
+
+
+def ref_edges(unit: ml.Unit) -> set[tuple[int, int]]:
+    """Best-effort reference edges of one tree, resolved from scratch."""
+    return edges_of(semantics.resolve(unit).table)
 
 
 def build_ref_index(

@@ -246,6 +246,8 @@ def prepare(
 
     if request.target is None:
         raise OpError("malformed-op", f"{kind} requires a target")
+    if isinstance(request.target, bool) or not isinstance(request.target, (str, int)):
+        raise OpError("malformed-op", f"target must be a name or an element id: {request.target!r}")
     if kind == "insert_statement":
         owner, slot, stmts = resolve_container(table, tree, request.target, args.get("slot"))
         at = args.get("at", len(stmts))

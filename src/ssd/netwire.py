@@ -160,7 +160,7 @@ class WireServer:
     def _handle(self, conn: _Conn, raw: bytes) -> None:
         try:
             msg = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             self._proto_error(conn, f"bad json: {exc}")
             return
         if not isinstance(msg, dict) or not isinstance(msg.get("t"), str):

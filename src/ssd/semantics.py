@@ -91,7 +91,7 @@ class ResolveResult:
 @dataclass
 class GateResult:
     report: BuildReport
-    bindings: BindingTable | None  # present iff buildable
+    bindings: BindingTable  # what the gate judged, buildable or not
 
 
 def _decl_type(decl) -> str:
@@ -447,13 +447,12 @@ class _Checker:
 
 def build_gate(unit: ml.Unit, version_checked: str = "") -> GateResult:
     """The propagation predicate: bind then type-check, aggregating errors
-    from both stages. The binding table is returned only for buildable trees.
+    from both stages. The binding table is returned whatever the verdict.
     Deterministic: identical trees yield identical reports, errors ordered by
     (start offset, code)."""
     resolved = resolve(unit)
     errors = list(resolved.errors)
     errors.extend(_Checker(unit, resolved.table).run())
     errors.sort(key=BuildError.sort_key)
-    if errors:
-        return GateResult(BuildReport(UNBUILDABLE, errors, version_checked), None)
-    return GateResult(BuildReport(BUILDABLE, [], version_checked), resolved.table)
+    status = UNBUILDABLE if errors else BUILDABLE
+    return GateResult(BuildReport(status, errors, version_checked), resolved.table)

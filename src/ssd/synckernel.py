@@ -113,6 +113,8 @@ class Snapshot:
     tree: ml.Unit
     text: str
     table: depcore.ElementTable
+    # Edge sets are replaced whole and never mutated, so the snapshot and
+    # the overlays share them freely.
     edges: set[tuple[int, int]]
 
     def sha256(self) -> str:
@@ -126,10 +128,10 @@ class _Overlay:
     tree: ml.Unit
     table: depcore.ElementTable
     pending: list[editops.EditOp] = field(default_factory=list)
-    edges: set[tuple[int, int]] = field(default_factory=set)
+    edges: set[tuple[int, int]] = field(default_factory=set)  # shared, see Snapshot
     mode: str = ON_RECORD
     buffer: list[editops.EditOp] = field(default_factory=list)
-    off_since: int = 0
+    departed: Snapshot | None = None  # the snapshot an off-record spell started from
 
 
 @dataclass
@@ -193,7 +195,7 @@ class Kernel:
             first = gate.report.errors[0]
             raise ValueError(f"initial source is not buildable: {first.message}")
         self.snapshot = Snapshot(
-            1, tree, ml.print_unit(tree), depcore.build_element_table(tree), depcore.ref_edges(tree)
+            1, tree, ml.print_unit(tree), depcore.build_element_table(tree), depcore.edges_of(gate.bindings)
         )
         self.history: list[Snapshot] = [self.snapshot]
         self.events: list[KernelEvent] = []
@@ -263,7 +265,7 @@ class Kernel:
             self.snapshot.version,
             tree,
             depcore.build_element_table(tree),
-            edges=set(self.snapshot.edges),
+            edges=self.snapshot.edges,
         )
         self._invalidate()
 
@@ -290,21 +292,16 @@ class Kernel:
         reports them all."""
         index = self._ref_index()
         table = self._union_table()
-        others = sorted(d for d in self.devs if d != dev)
+        held = sorted((holder, eid) for eid, holder in self.lock_holder.items() if holder != dev)
         found: list[dict] = []
         for t in sorted(touched):
-            for other in others:
-                for held in sorted(self.locks_of(other)):
-                    rule = self._pair_rule(t, held, index, table)
-                    if rule is not None:
-                        found.append({"holder": other, "rule": rule, "pair": [t, held]})
-                        if first_only:
-                            return found
+            for holder, eid in held:
+                rule = self._pair_rule(t, eid, index, table)
+                if rule is not None:
+                    found.append({"holder": holder, "rule": rule, "pair": [t, eid]})
+                    if first_only:
+                        return found
         return found
-
-    def _admission_conflict(self, dev: str, touched) -> dict | None:
-        found = self._admission_conflicts(dev, touched, first_only=True)
-        return found[0] if found else None
 
     def _descendants_fn(self, ov: _Overlay):
         union = self._union_table()
@@ -350,17 +347,16 @@ class Kernel:
             )
         self.check_leases()
         op = self._prepare(ov, request)
-        conflict = self._admission_conflict(dev, op.touched)
-        if conflict is not None:
+        conflicts = self._admission_conflicts(dev, op.touched)
+        if conflicts:
+            # the first conflict supplies holder, rule and pair
             event = self._emit(
                 "lock_denied",
                 dev,
                 kind=op.kind,
                 target=op.target,
                 touched=list(op.touched),
-                holder=conflict["holder"],
-                rule=conflict["rule"],
-                pair=conflict["pair"],
+                **conflicts[0],
             )
             return EditOutcome(False, op, [event])
 
@@ -379,7 +375,6 @@ class Kernel:
         editops.apply_op(ov.tree, ov.table, op)
         ov.table = depcore.build_element_table(ov.tree)
         ov.pending.append(op)
-        ov.edges = depcore.ref_edges(ov.tree)
         self._invalidate()
         events.append(
             self._emit("edit_applied", dev, kind=op.kind, target=op.target, op=op.to_record())
@@ -395,6 +390,7 @@ class Kernel:
     def _gate(self, ov: _Overlay, context: str, events: list[KernelEvent]) -> semantics.BuildReport:
         label = f"{ov.dev}@v{ov.base_version}+{len(ov.pending) or len(ov.buffer)}"
         result = semantics.build_gate(ov.tree, version_checked=label)
+        ov.edges = depcore.edges_of(result.bindings)
         events.append(
             self._emit(
                 "build_status",
@@ -436,15 +432,14 @@ class Kernel:
             return CommitOutcome(False, None, events, report)
 
         # Rebuild the new snapshot by replaying the pending ops onto a copy of
-        # the old one; the result must equal the overlay tree.
+        # the old one; the result must equal the overlay tree, element ids
+        # included, so the overlay's edges are the snapshot's too.
         new_tree = copy.deepcopy(self.snapshot.tree)
         new_tree, new_table = replay_onto(new_tree, ov.pending)
-        if new_tree != ov.tree:
+        if new_tree != ov.tree or new_table.order != ov.table.order:
             raise AssertionError("replayed snapshot diverged from overlay")
         version = self.snapshot.version + 1
-        self.snapshot = Snapshot(
-            version, new_tree, ml.print_unit(new_tree), new_table, depcore.ref_edges(new_tree)
-        )
+        self.snapshot = Snapshot(version, new_tree, ml.print_unit(new_tree), new_table, ov.edges)
         self.history.append(self.snapshot)
         committed_ops = [op.to_record() for op in ov.pending]
         events.append(
@@ -458,7 +453,7 @@ class Kernel:
         )
         self._release_all(dev)
         ov.pending = []
-        self._reset_overlay(ov)
+        ov.base_version = version  # the overlay already holds the new snapshot's tree
         for other_name, other in sorted(self.devs.items()):
             if other_name == dev or other.mode != ON_RECORD:
                 continue
@@ -470,7 +465,7 @@ class Kernel:
         ov.tree = copy.deepcopy(self.snapshot.tree)
         ov.table = depcore.build_element_table(ov.tree)
         ov.base_version = self.snapshot.version
-        ov.edges = set(self.snapshot.edges)
+        ov.edges = self.snapshot.edges
 
     def _rebase(self, ov: _Overlay, events: list[KernelEvent]) -> None:
         """Re-apply a developer's pending ops onto the new snapshot. Lock
@@ -537,7 +532,7 @@ class Kernel:
                 )
             self._release_all(dev)
             ov.mode = OFF_RECORD
-            ov.off_since = self.snapshot.version
+            ov.departed = self.snapshot
             ov.buffer = []
             self._reset_overlay(ov)
             self._invalidate()
@@ -547,16 +542,13 @@ class Kernel:
             return ModeOutcome(True, OFF_RECORD, [event])
         return self._reconcile(ov)
 
-    def _departure_snapshot(self, ov: _Overlay) -> Snapshot:
-        return self.history[ov.off_since - 1]
-
     def _reconcile(self, ov: _Overlay) -> ModeOutcome:
         """Coming back on the record: the buffered ops must still be
         admissible and nothing they touched may have changed meanwhile."""
         dev = ov.dev
         created = {eid for op in ov.buffer for eid in op.created}
         touched = {eid for op in ov.buffer for eid in op.touched} - created
-        old = self._departure_snapshot(ov)
+        old = ov.departed
         changed: list[dict] = []
         for eid in sorted(touched):
             if eid not in old.table:
@@ -604,7 +596,6 @@ class Kernel:
         ov.buffer = []
         ov.mode = ON_RECORD
         ov.base_version = self.snapshot.version
-        ov.edges = depcore.ref_edges(ov.tree)
         self._invalidate()
         events.append(self._emit("mode_changed", dev, mode=ON_RECORD, at_version=self.snapshot.version))
         if ov.pending:

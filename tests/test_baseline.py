@@ -253,6 +253,25 @@ def test_checkin_always_lands_and_resyncs():
     assert wc.base_tree == wc.tree == repo.central  # no edits left pending
 
 
+def test_edits_after_a_fast_forward_checkin_leave_shared_trees_alone():
+    # central and base trees are shared read-only; a fast-forward checkin
+    # adopts the working tree as central, so the working copy must move on
+    # to a tree of its own
+    repo = make()
+    repo.edit("d1", req("rename_field", "A.f", new_name="g"))
+    res = repo.checkin("d1")
+    assert res.changed and not res.merged
+    central = repo.central_text()
+    d1_base = ml.print_unit(repo.devs["d1"].base_tree)
+    d2_base = ml.print_unit(repo.devs["d2"].base_tree)
+    repo.edit("d1", req("rename_field", "A.g", new_name="h"))
+    repo.edit("d1", req("insert_statement", "A.k/body", text="int y = 1;"))
+    repo.edit("d2", req("delete_method", "A.k"))
+    assert repo.central_text() == central
+    assert ml.print_unit(repo.devs["d1"].base_tree) == d1_base == central
+    assert ml.print_unit(repo.devs["d2"].base_tree) == d2_base != central
+
+
 def test_conflict_record_shape():
     c = baseline.Conflict(baseline.CONTENT, 4, "A.m", "both sides changed this element")
     assert c.to_record() == {

@@ -136,6 +136,46 @@ def test_domain_error_keeps_the_connection():
             assert snap["version"] == 1
 
 
+def assert_still_serving(server):
+    with raw_client(server) as other:
+        assert hello(other, "second")["t"] == "hello_ack"
+
+
+@pytest.mark.parametrize(
+    "kind, target, args",
+    [
+        ("rename_class", ["Demo"], {"new_name": "X"}),
+        ("rename_class", {"name": "Demo"}, {"new_name": "X"}),
+        ("rename_class", True, {"new_name": "X"}),
+        ("insert_statement", ["Demo.Foo/body"], {"text": "int a = 1;"}),
+        ("insert_statement", {"path": "Demo.Foo/body"}, {"text": "int a = 1;"}),
+        ("insert_statement", 1.5, {"text": "int a = 1;"}),
+    ],
+)
+def test_non_scalar_edit_target_is_malformed_and_the_server_keeps_serving(kind, target, args):
+    with serving() as server:
+        with raw_client(server) as line:
+            hello(line, "alice")
+            line.send({"t": "edit", "cid": "e1", "kind": kind, "target": target, "args": args})
+            reply = line.recv_line(5)
+            assert (reply["t"], reply["code"], reply["cid"]) == ("error", "malformed-op", "e1")
+            line.send({"t": "get_snapshot", "cid": "s1"})
+            assert line.recv_line(5)["version"] == 1
+        assert_still_serving(server)
+
+
+def test_over_nested_json_is_a_proto_error_and_the_server_keeps_serving():
+    with serving() as server:
+        with raw_client(server) as line:
+            hello(line, "alice")
+            line.sock.sendall(b"[" * 200_000 + b"]" * 200_000 + b"\n")
+            reply = line.recv_line(5)
+            assert (reply["t"], reply["code"]) == ("error", "proto")
+            with pytest.raises(ClientError, match="closed"):
+                line.recv_line(5)
+        assert_still_serving(server)
+
+
 def test_edit_reply_sequence_and_cid_placement():
     with serving() as server:
         with raw_client(server) as line:

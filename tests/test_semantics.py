@@ -157,6 +157,21 @@ def test_gate_collects_bind_and_check_errors_together():
     assert sorted(codes(src)) == ["type-mismatch", "unknown-type"]
 
 
+def test_unbuildable_gate_result_carries_the_bindings_it_judged():
+    # the gate's table is the best-effort resolve: resolvable sites survive
+    # a failed verdict, so callers can take reference edges from it
+    src = "class A { in bad; int x; void m() { x = true; y = 1; } }"
+    unit, _ = ml.parse_unit(ml.SourceText(src, "<test>"))
+    depcore.annotate(unit, depcore.IdAllocator())
+    result = semantics.build_gate(unit)
+    assert not result.report.buildable
+    x, m = unit.classes[0].members[1:]
+    assert [(s.kind, s.name, s.target, s.owner) for s in result.bindings.sites] == [
+        ("ident", "x", x.eid, m.body[0].eid)
+    ]
+    assert depcore.edges_of(result.bindings) == depcore.ref_edges(unit)
+
+
 def test_param_shadows_field():
     src = textwrap.dedent(
         """\

@@ -9,6 +9,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from hypothesis import strategies as st
 
 from ssd import depcore
+from ssd import minilang as ml
 from ssd import semantics
 from ssd.editops import EditRequest
 from ssd.synckernel import (
@@ -552,6 +553,24 @@ class KernelMachine(RuleBasedStateMachine):
             for op in self.kernel.devs[dev].pending:
                 claimed |= set(op.touched) | set(op.created)
             assert self.kernel.locks_of(dev) <= claimed
+
+    @invariant()
+    def derived_state_matches_a_rebuild_from_the_trees(self):
+        # edges come from the gate and tables from the last apply; both must
+        # equal what a from-scratch pass over the same tree yields
+        if not hasattr(self, "kernel"):
+            return
+        snap = self.kernel.snapshot
+        assert snap.edges == depcore.ref_edges(snap.tree)
+        assert snap.text == ml.print_unit(snap.tree)
+        for dev, ov in sorted(self.kernel.devs.items()):
+            if ov.mode != ON_RECORD:
+                continue
+            assert ov.edges == depcore.ref_edges(ov.tree), dev
+            rebuilt = depcore.build_element_table(ov.tree)
+            assert [(e, ov.table.qname(e)) for e in ov.table.order] == [
+                (e, rebuilt.qname(e)) for e in rebuilt.order
+            ], dev
 
     @invariant()
     def event_log_is_gapless_and_replayable(self):
