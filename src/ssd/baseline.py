@@ -212,23 +212,15 @@ class _Merge:
 
     def _build_element(self, eid: int):
         source = self._chosen_node(eid)
-        node = copy.deepcopy(source)
-        for slot, _children in depcore.child_slots(source):
-            rebuilt = [self._build_element(child) for child in self._merge_child_slot(eid, slot)]
-            if isinstance(node, ml.MethodDecl):
-                if slot == "params":
-                    node.params = rebuilt
-                else:
-                    node.body = rebuilt
-            elif isinstance(node, ml.ClassDecl):
-                node.members = rebuilt
-            elif isinstance(node, ml.IfStmt):
-                if slot == "then":
-                    node.then_body = rebuilt
-                else:
-                    node.else_body = rebuilt
-            elif isinstance(node, ml.WhileStmt):
-                node.body = rebuilt
+        # copy the node's own content only: each child list copies as a
+        # fresh empty list, filled from the merged slot below
+        slots = depcore.child_slots(source)
+        memo = {id(children): [] for _slot, children in slots}
+        node = copy.deepcopy(source, memo)
+        for slot, children in slots:
+            memo[id(children)].extend(
+                self._build_element(child) for child in self._merge_child_slot(eid, slot)
+            )
         return node
 
     def _merge_child_slot(self, parent: int, slot: str) -> list[int]:

@@ -282,19 +282,11 @@ def ref_edges(unit: ml.Unit) -> set[tuple[int, int]]:
     return edges_of(semantics.resolve(unit).table)
 
 
-def build_ref_index(
-    views: dict[str, ml.Unit],
-    extra_edges: dict[str, Iterable[tuple[int, int]]] | None = None,
-) -> RefIndex:
+def build_ref_index(edges: dict[str, Iterable[tuple[int, int]]]) -> RefIndex:
     """Union the reference edges of every view (authoritative snapshot plus
-    developer overlays). `extra_edges` lets the caller re-contribute edges
-    from a view's last successful bind when its current state no longer
-    resolves them."""
+    developer overlays), each edge set tagged with its view's name."""
     index = RefIndex()
-    for source, unit in views.items():
-        for from_eid, to_eid in ref_edges(unit):
-            index.add(from_eid, to_eid, source)
-    for source, pairs in (extra_edges or {}).items():
+    for source, pairs in edges.items():
         for from_eid, to_eid in pairs:
             index.add(from_eid, to_eid, source)
     return index

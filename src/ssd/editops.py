@@ -251,7 +251,7 @@ def prepare(
     if kind == "insert_statement":
         owner, slot, stmts = resolve_container(table, tree, request.target, args.get("slot"))
         at = args.get("at", len(stmts))
-        if not isinstance(at, int) or not 0 <= at <= len(stmts):
+        if isinstance(at, bool) or not isinstance(at, int) or not 0 <= at <= len(stmts):
             raise OpError("malformed-op", f"insert position {at!r} out of range")
         parsed = _parse_stmt_text(args.get("text"))
         created = tuple(alloc.fresh() for _ in stmt_elements(parsed))
@@ -304,7 +304,7 @@ def prepare(
         _check_name(args.get("name"), "parameter name")
         method_node = info.node
         at = args.get("at", len(method_node.params))
-        if not isinstance(at, int) or not 0 <= at <= len(method_node.params):
+        if isinstance(at, bool) or not isinstance(at, int) or not 0 <= at <= len(method_node.params):
             raise OpError("malformed-op", f"parameter position {at!r} out of range")
         new_eid = alloc.fresh()
         return EditOp(

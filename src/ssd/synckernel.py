@@ -123,15 +123,20 @@ class Snapshot:
 
 @dataclass
 class _Overlay:
+    """A developer's view: a base snapshot plus a list of ops, replayed.
+
+    On the record, `base` is the latest snapshot and `ops` the pending
+    (locked, uncommitted) ops. Off the record, `base` is the snapshot the
+    spell started from and `ops` the buffered ops. Either way `tree` and
+    `table` equal `replay_onto(deepcopy(base.tree), ops)`."""
+
     dev: str
-    base_version: int
+    base: Snapshot
     tree: ml.Unit
     table: depcore.ElementTable
-    pending: list[editops.EditOp] = field(default_factory=list)
-    edges: set[tuple[int, int]] = field(default_factory=set)  # shared, see Snapshot
+    edges: set[tuple[int, int]]  # shared, see Snapshot
+    ops: list[editops.EditOp] = field(default_factory=list)
     mode: str = ON_RECORD
-    buffer: list[editops.EditOp] = field(default_factory=list)
-    departed: Snapshot | None = None  # the snapshot an off-record spell started from
 
 
 @dataclass
@@ -237,7 +242,7 @@ class Kernel:
         for dev, ov in sorted(self.devs.items()):
             if ov.mode == ON_RECORD:
                 extra[f"dev:{dev}"] = ov.edges
-        return depcore.build_ref_index({}, extra)
+        return depcore.build_ref_index(extra)
 
     def locks_of(self, dev: str) -> set[int]:
         return {eid for eid, holder in self.lock_holder.items() if holder == dev}
@@ -256,17 +261,25 @@ class Kernel:
 
     # -- registration and views ----------------------------------------------
 
+    def _replayed(self, ops: list[editops.EditOp]) -> tuple[ml.Unit, depcore.ElementTable]:
+        """The current snapshot plus `ops`, on a fresh copy of its tree. The
+        only place the kernel copies a tree."""
+        return replay_onto(copy.deepcopy(self.snapshot.tree), ops)
+
+    def _resync(self, ov: _Overlay, ops: list[editops.EditOp]) -> None:
+        """Rebase the view on the current snapshot with `ops` on top. Raises
+        ApplyError, leaving the overlay untouched, when the ops no longer
+        apply. The view takes the snapshot's edges; a caller with ops
+        resolves or gates the new tree."""
+        ov.tree, ov.table = self._replayed(ops)
+        ov.base = self.snapshot
+        ov.ops = ops
+        ov.edges = self.snapshot.edges
+
     def register(self, dev: str) -> None:
         if dev in self.devs:
             raise KernelError("duplicate-developer", f"developer {dev!r} already registered")
-        tree = copy.deepcopy(self.snapshot.tree)
-        self.devs[dev] = _Overlay(
-            dev,
-            self.snapshot.version,
-            tree,
-            depcore.build_element_table(tree),
-            edges=self.snapshot.edges,
-        )
+        self.devs[dev] = _Overlay(dev, self.snapshot, *self._replayed([]), self.snapshot.edges)
         self._invalidate()
 
     def view_text(self, dev: str) -> str:
@@ -323,16 +336,23 @@ class Kernel:
 
     # -- the edit pipeline ---------------------------------------------------
 
+    def _on_record(self, dev: str, refused: str) -> _Overlay:
+        ov = self._overlay(dev)
+        if ov.mode != ON_RECORD:
+            raise KernelError("off-record-violation", f"{dev} is off the record; {refused}")
+        return ov
+
+    def _apply(self, ov: _Overlay, op: editops.EditOp) -> None:
+        editops.apply_op(ov.tree, ov.table, op)
+        ov.table = depcore.build_element_table(ov.tree)
+        ov.ops.append(op)
+
     def check_admission(self, dev: str, request: editops.EditRequest) -> list[dict]:
         """Dry-run admission: resolve the request against the developer's
         view and return every blocking pair, without taking locks, applying
         anything, or emitting events. Creation requests still consume fresh
         element ids."""
-        ov = self._overlay(dev)
-        if ov.mode != ON_RECORD:
-            raise KernelError(
-                "off-record-violation", f"{dev} is off the record; coordinated edits refused"
-            )
+        ov = self._on_record(dev, "coordinated edits refused")
         op = self._prepare(ov, request)
         return self._admission_conflicts(dev, op.touched, first_only=False)
 
@@ -340,11 +360,7 @@ class Kernel:
         """Admission, locking, application, gate. Emits lock_denied or
         lock_granted + edit_applied + build_status (+ commit events when
         auto_commit is on and the overlay is buildable)."""
-        ov = self._overlay(dev)
-        if ov.mode != ON_RECORD:
-            raise KernelError(
-                "off-record-violation", f"{dev} is off the record; coordinated edits refused"
-            )
+        ov = self._on_record(dev, "coordinated edits refused")
         self.check_leases()
         op = self._prepare(ov, request)
         conflicts = self._admission_conflicts(dev, op.touched)
@@ -372,9 +388,7 @@ class Kernel:
                 created=list(op.created),
             )
         )
-        editops.apply_op(ov.tree, ov.table, op)
-        ov.table = depcore.build_element_table(ov.tree)
-        ov.pending.append(op)
+        self._apply(ov, op)
         self._invalidate()
         events.append(
             self._emit("edit_applied", dev, kind=op.kind, target=op.target, op=op.to_record())
@@ -388,7 +402,7 @@ class Kernel:
         return outcome
 
     def _gate(self, ov: _Overlay, context: str, events: list[KernelEvent]) -> semantics.BuildReport:
-        label = f"{ov.dev}@v{ov.base_version}+{len(ov.pending) or len(ov.buffer)}"
+        label = f"{ov.dev}@v{ov.base.version}+{len(ov.ops)}"
         result = semantics.build_gate(ov.tree, version_checked=label)
         ov.edges = depcore.edges_of(result.bindings)
         events.append(
@@ -410,21 +424,17 @@ class Kernel:
         if ov.mode != OFF_RECORD:
             raise KernelError("not-off-record", f"{dev} is on the record; use request_edit")
         op = self._prepare(ov, request)
-        editops.apply_op(ov.tree, ov.table, op)
-        ov.table = depcore.build_element_table(ov.tree)
-        ov.buffer.append(op)
+        self._apply(ov, op)
         # deliberately no edge-cache update and no events: the kernel keeps
         # no public trace of off-record work
-        gate = semantics.build_gate(ov.tree, version_checked=f"{dev}@off+{len(ov.buffer)}")
+        gate = semantics.build_gate(ov.tree, version_checked=f"{dev}@off+{len(ov.ops)}")
         return op, gate.report
 
     # -- commit and propagation ----------------------------------------------
 
     def try_commit(self, dev: str) -> CommitOutcome:
-        ov = self._overlay(dev)
-        if ov.mode != ON_RECORD:
-            raise KernelError("off-record-violation", f"{dev} is off the record; cannot commit")
-        if not ov.pending:
+        ov = self._on_record(dev, "cannot commit")
+        if not ov.ops:
             raise KernelError("empty-overlay", f"{dev} has nothing to commit")
         events: list[KernelEvent] = []
         report = self._gate(ov, context="commit", events=events)
@@ -434,14 +444,13 @@ class Kernel:
         # Rebuild the new snapshot by replaying the pending ops onto a copy of
         # the old one; the result must equal the overlay tree, element ids
         # included, so the overlay's edges are the snapshot's too.
-        new_tree = copy.deepcopy(self.snapshot.tree)
-        new_tree, new_table = replay_onto(new_tree, ov.pending)
+        new_tree, new_table = self._replayed(ov.ops)
         if new_tree != ov.tree or new_table.order != ov.table.order:
             raise AssertionError("replayed snapshot diverged from overlay")
         version = self.snapshot.version + 1
         self.snapshot = Snapshot(version, new_tree, ml.print_unit(new_tree), new_table, ov.edges)
         self.history.append(self.snapshot)
-        committed_ops = [op.to_record() for op in ov.pending]
+        committed_ops = [op.to_record() for op in ov.ops]
         events.append(
             self._emit(
                 "committed",
@@ -452,8 +461,8 @@ class Kernel:
             )
         )
         self._release_all(dev)
-        ov.pending = []
-        ov.base_version = version  # the overlay already holds the new snapshot's tree
+        ov.ops = []
+        ov.base = self.snapshot  # the overlay already holds the new snapshot's tree
         for other_name, other in sorted(self.devs.items()):
             if other_name == dev or other.mode != ON_RECORD:
                 continue
@@ -461,27 +470,16 @@ class Kernel:
         self._invalidate()
         return CommitOutcome(True, version, events, report)
 
-    def _reset_overlay(self, ov: _Overlay) -> None:
-        ov.tree = copy.deepcopy(self.snapshot.tree)
-        ov.table = depcore.build_element_table(ov.tree)
-        ov.base_version = self.snapshot.version
-        ov.edges = self.snapshot.edges
-
     def _rebase(self, ov: _Overlay, events: list[KernelEvent]) -> None:
         """Re-apply a developer's pending ops onto the new snapshot. Lock
         discipline makes failure impossible; if it happens anyway the overlay
         is reverted rather than left corrupt."""
-        if not ov.pending:
-            self._reset_overlay(ov)
-            return
-        tree = copy.deepcopy(self.snapshot.tree)
         try:
-            tree, table = replay_onto(tree, ov.pending)
+            self._resync(ov, ov.ops)
         except editops.ApplyError as exc:
-            dropped = len(ov.pending)
-            ov.pending = []
+            dropped = len(ov.ops)
             self._release_all(ov.dev)
-            self._reset_overlay(ov)
+            self._resync(ov, [])
             events.append(
                 self._emit(
                     "reverted",
@@ -492,24 +490,20 @@ class Kernel:
                 )
             )
             return
-        ov.tree = tree
-        ov.table = table
-        ov.base_version = self.snapshot.version
-        ov.edges = depcore.ref_edges(ov.tree)
+        if ov.ops:
+            ov.edges = depcore.ref_edges(ov.tree)
 
     def revert(self, dev: str, reason: str = "user") -> list[KernelEvent]:
         """Discard pending (or off-record buffered) work, release locks, and
         resynchronize the developer's view with the current snapshot.
         Idempotent: with nothing to discard it emits nothing."""
         ov = self._overlay(dev)
-        dropped = len(ov.pending) + len(ov.buffer)
+        dropped = len(ov.ops)
         was_off = ov.mode == OFF_RECORD
         if dropped == 0 and not was_off and not self.locks_of(dev):
             return []
-        ov.pending = []
-        ov.buffer = []
         self._release_all(dev)
-        self._reset_overlay(ov)
+        self._resync(ov, [])
         self._invalidate()
         events = [self._emit("reverted", dev, reason=reason, dropped_ops=dropped)]
         if was_off:
@@ -526,15 +520,13 @@ class Kernel:
         if mode == ov.mode:
             return ModeOutcome(True, mode, [])
         if mode == OFF_RECORD:
-            if ov.pending:
+            if ov.ops:
                 raise KernelError(
                     "nonempty-overlay", f"{dev} has uncommitted work; commit or revert first"
                 )
             self._release_all(dev)
             ov.mode = OFF_RECORD
-            ov.departed = self.snapshot
-            ov.buffer = []
-            self._reset_overlay(ov)
+            self._resync(ov, [])  # the departure snapshot becomes the base
             self._invalidate()
             event = self._emit(
                 "mode_changed", dev, mode=OFF_RECORD, at_version=self.snapshot.version
@@ -546,9 +538,9 @@ class Kernel:
         """Coming back on the record: the buffered ops must still be
         admissible and nothing they touched may have changed meanwhile."""
         dev = ov.dev
-        created = {eid for op in ov.buffer for eid in op.created}
-        touched = {eid for op in ov.buffer for eid in op.touched} - created
-        old = ov.departed
+        created = {eid for op in ov.ops for eid in op.created}
+        touched = {eid for op in ov.ops for eid in op.touched} - created
+        old = ov.base
         changed: list[dict] = []
         for eid in sorted(touched):
             if eid not in old.table:
@@ -564,11 +556,9 @@ class Kernel:
                     changed.append({"element": eid, "change": "modified"})
         blocked = self._admission_conflicts(dev, touched | created, first_only=False)
         replay_failure: str | None = None
-        tree = table = None
-        if not changed and not blocked and ov.buffer:
-            tree = copy.deepcopy(self.snapshot.tree)
+        if not changed and not blocked:
             try:
-                tree, table = replay_onto(tree, ov.buffer)
+                self._resync(ov, ov.ops)
             except editops.ApplyError as exc:
                 replay_failure = f"{exc.code}: {exc}"
 
@@ -577,28 +567,19 @@ class Kernel:
                 "reconcile_result",
                 dev,
                 result="conflict",
-                ops=len(ov.buffer),
+                ops=len(ov.ops),
                 changed=changed,
                 blocked=blocked,
                 replay_failure=replay_failure,
             )
             return ModeOutcome(False, OFF_RECORD, [event])
 
-        events = [self._emit("reconcile_result", dev, result="clean", ops=len(ov.buffer))]
-        if ov.buffer:
-            self._acquire(dev, touched | created)
-            ov.tree = tree
-            ov.table = table
-            ov.pending = ov.buffer
-        else:
-            self._reset_overlay(ov)
-            ov.pending = []
-        ov.buffer = []
+        events = [self._emit("reconcile_result", dev, result="clean", ops=len(ov.ops))]
+        self._acquire(dev, touched | created)
         ov.mode = ON_RECORD
-        ov.base_version = self.snapshot.version
         self._invalidate()
         events.append(self._emit("mode_changed", dev, mode=ON_RECORD, at_version=self.snapshot.version))
-        if ov.pending:
+        if ov.ops:
             report = self._gate(ov, context="reconcile", events=events)
             if self.config.auto_commit and report.buildable:
                 commit = self.try_commit(dev)

@@ -15,6 +15,7 @@ pass/fail line per criterion:
 10. off-the-record work is invisible until reconciliation
 """
 
+import hashlib
 import json
 import re
 import socket
@@ -39,6 +40,7 @@ from ssd.synckernel import Kernel, KernelConfig, OFF_RECORD
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 GOLDEN_LOG = ROOT / "tests" / "golden" / "wire" / "usecase_session.log"
+SWEEP_DIGESTS = ROOT / "tests" / "golden" / "sweep" / "digests.txt"
 
 
 def test_criterion_01_walkthrough_denies_the_conflicting_rename():
@@ -103,9 +105,15 @@ def test_criterion_03_dependency_predicate_matches_bruteforce_oracle():
     assert agreements == total  # 100% pairwise agreement
 
 
-@pytest.fixture(scope="module")
-def seeded_sweep():
-    """Run the 100-scenario sweep once; criteria 4, 5 and 6 each read it."""
+def sweep_digest(outcome) -> str:
+    """SHA-256 of one scenario's trace lines followed by its report lines."""
+    lines = outcome.trace_lines + outcome.report_lines()
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def run_sweep() -> dict:
+    """`generate_scenario(0..99)` in both models, with a lock probe after
+    every step."""
     stats = {
         "elapsed": 0.0,
         "snapshots": 0,
@@ -115,6 +123,7 @@ def seeded_sweep():
         "lock_pairs_checked": 0,
         "lock_overlaps": 0,
         "steps_probed": 0,
+        "digests": {},
     }
     started = time.perf_counter()
     for seed in range(100):
@@ -138,8 +147,16 @@ def seeded_sweep():
                 stats["unbuildable"] += 1
         stats["ssd_conflicts"].append(outcome.results["ssd"].metrics.conflicts)
         stats["baseline_conflicts"].append(outcome.results["baseline"].metrics.conflicts)
+        stats["digests"][seed] = sweep_digest(outcome)
     stats["elapsed"] = time.perf_counter() - started
     return stats
+
+
+@pytest.fixture(scope="module")
+def seeded_sweep():
+    """Run the 100-scenario sweep once; criteria 4, 5 and 6 and the digest
+    pin each read it."""
+    return run_sweep()
 
 
 def test_criterion_04_random_runs_publish_only_buildable_snapshots(seeded_sweep):
@@ -160,6 +177,18 @@ def test_criterion_06_cross_developer_locks_stay_disjoint(seeded_sweep):
     assert seeded_sweep["steps_probed"] > 5000  # probe ran after every step
     assert seeded_sweep["lock_pairs_checked"] > 0  # and saw real contention
     assert seeded_sweep["lock_overlaps"] == 0
+
+
+def test_sweep_traces_and_reports_match_the_pinned_digests(seeded_sweep):
+    # one `seed sha256` line per seed; a deliberate behaviour change
+    # regenerates the file and names the seeds that moved
+    pinned = {
+        int(seed): digest
+        for seed, digest in (line.split() for line in SWEEP_DIGESTS.read_text().splitlines())
+    }
+    assert sorted(pinned) == list(range(100))
+    changed = [seed for seed in range(100) if seeded_sweep["digests"][seed] != pinned[seed]]
+    assert not changed, f"sweep seeds whose trace or report changed: {changed}"
 
 
 def test_criterion_07_simulation_runs_are_reproducible():

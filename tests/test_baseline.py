@@ -1,5 +1,7 @@
 """Checkin/checkout baseline: merges, conflict kinds, mine-wins resolution."""
 
+import collections
+import copy
 import textwrap
 
 import pytest
@@ -7,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssd import baseline
+from ssd import depcore
 from ssd import editops
 from ssd import minilang as ml
 from ssd import semantics
+from ssd import simbench
 
 
 def req(kind, target=None, **args):
@@ -270,6 +274,51 @@ def test_edits_after_a_fast_forward_checkin_leave_shared_trees_alone():
     assert repo.central_text() == central
     assert ml.print_unit(repo.devs["d1"].base_tree) == d1_base == central
     assert ml.print_unit(repo.devs["d2"].base_tree) == d2_base != central
+
+
+class _CountingCopy:
+    """Stands in for the `copy` module and counts, per element id, every
+    element node a `deepcopy` call copies, nested ones included."""
+
+    def __init__(self):
+        self.copies = collections.Counter()
+
+    def deepcopy(self, x, memo=None):
+        memo = {} if memo is None else memo
+        out = copy.deepcopy(x, memo)
+        for copied in memo.values():
+            if depcore.kind_of(copied) is not None:
+                self.copies[copied.eid] += 1
+        return out
+
+    def __getattr__(self, name):
+        return getattr(copy, name)
+
+
+def _element_nodes(tree):
+    return [info.node for info in depcore.build_element_table(tree).elements.values()]
+
+
+def test_merge_copies_each_element_once_and_shares_none(monkeypatch):
+    repo = make(simbench.make_project(classes=2))
+    repo.edit("d1", req("rename_field", "C0.f1", new_name="g1"))
+    repo.checkin("d1")
+    repo.edit("d2", req("insert_statement", "C1.m0/body", text="if (true) { f0 = 1; } else { while (false) { f1 = 2; } }"))
+    repo.edit("d2", req("add_param", "C1.m1", type="int", name="q"))
+    wc = repo.devs["d2"]
+    base, mine, theirs = wc.base_tree, wc.tree, repo.central
+
+    counting = _CountingCopy()
+    monkeypatch.setattr(baseline, "copy", counting)
+    merged, conflicts = baseline.merge_trees(base, mine, theirs)
+
+    assert conflicts == []
+    text = ml.print_unit(merged)
+    assert "int g1" in text and "while (false)" in text and "int q" in text
+    merged_eids = depcore.build_element_table(merged).order
+    assert counting.copies == collections.Counter(merged_eids)
+    inputs = {id(node) for tree in (base, mine, theirs) for node in _element_nodes(tree)}
+    assert not any(id(node) in inputs for node in _element_nodes(merged))
 
 
 def test_conflict_record_shape():

@@ -20,7 +20,7 @@ def build(src: str):
     assert unit is not None, diags
     depcore.annotate(unit, depcore.IdAllocator())
     table = depcore.build_element_table(unit)
-    index = depcore.build_ref_index({"main": unit})
+    index = depcore.build_ref_index({"main": depcore.ref_edges(unit)})
     return unit, table, index
 
 

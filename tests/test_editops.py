@@ -295,6 +295,10 @@ def test_validation_errors():
     expect("malformed-op", "insert_statement", "Demo.Foo/body", text="not-a-stmt +")
     expect("malformed-op", "insert_statement", "Demo.Foo/body", text="int x;", at=7)
     expect("malformed-op", "add_param", "Demo.Foo", type="int", name="p", at=9)
+    # JSON booleans are not positions, although Python counts them as ints
+    for flag in (True, False):
+        expect("malformed-op", "insert_statement", "Demo.Foo/body", text="int x;", at=flag)
+        expect("malformed-op", "add_param", "Demo.Foo", type="int", name="p", at=flag)
     expect("malformed-op", "replace_statement", "Demo.Foo/body[0]", text="")
 
 

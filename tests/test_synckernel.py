@@ -1,5 +1,6 @@
 """The coordination kernel: admission, gating, commit propagation, modes."""
 
+import copy
 import json
 import textwrap
 
@@ -20,6 +21,7 @@ from ssd.synckernel import (
     KernelEvent,
     OFF_RECORD,
     ON_RECORD,
+    replay_onto,
 )
 
 DEMO = textwrap.dedent(
@@ -457,8 +459,9 @@ _DEVS = ("d1", "d2", "d3")
 
 
 class KernelMachine(RuleBasedStateMachine):
-    """Random edits, commits, and reverts; cross-developer lock pairs must
-    stay independent and only buildable snapshots may publish."""
+    """Random edits, commits, reverts and off-record spells; cross-developer
+    lock pairs must stay independent and only buildable snapshots may
+    publish."""
 
     @initialize()
     def setup(self):
@@ -470,7 +473,10 @@ class KernelMachine(RuleBasedStateMachine):
         return self.counter
 
     def _request(self, dev, request):
+        # an off-record developer's edits are buffered, not admitted
         try:
+            if self.kernel.devs[dev].mode == OFF_RECORD:
+                return self.kernel.buffer_edit(dev, request)
             return self.kernel.request_edit(dev, request)
         except KernelError:
             return None
@@ -525,6 +531,17 @@ class KernelMachine(RuleBasedStateMachine):
     def revert(self, dev):
         self.kernel.revert(dev)
 
+    @rule(dev=st.sampled_from(_DEVS))
+    def go_off_record(self, dev):
+        try:
+            self.kernel.set_mode(dev, OFF_RECORD)
+        except KernelError:
+            pass  # uncommitted work
+
+    @rule(dev=st.sampled_from(_DEVS))
+    def come_back_on_record(self, dev):
+        self.kernel.set_mode(dev, ON_RECORD)
+
     @invariant()
     def snapshot_is_buildable(self):
         if not hasattr(self, "kernel"):
@@ -550,7 +567,7 @@ class KernelMachine(RuleBasedStateMachine):
             return
         for dev in _DEVS:
             claimed = set()
-            for op in self.kernel.devs[dev].pending:
+            for op in self.kernel.devs[dev].ops:
                 claimed |= set(op.touched) | set(op.created)
             assert self.kernel.locks_of(dev) <= claimed
 
@@ -571,6 +588,17 @@ class KernelMachine(RuleBasedStateMachine):
             assert [(e, ov.table.qname(e)) for e in ov.table.order] == [
                 (e, rebuilt.qname(e)) for e in rebuilt.order
             ], dev
+
+    @invariant()
+    def every_view_is_its_base_plus_its_ops(self):
+        if not hasattr(self, "kernel"):
+            return
+        for dev, ov in sorted(self.kernel.devs.items()):
+            tree, table = replay_onto(copy.deepcopy(ov.base.tree), ov.ops)
+            assert tree == ov.tree, dev
+            assert table.order == ov.table.order, dev
+            if ov.mode == ON_RECORD:
+                assert ov.base is self.kernel.snapshot, dev
 
     @invariant()
     def event_log_is_gapless_and_replayable(self):
