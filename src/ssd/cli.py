@@ -81,7 +81,7 @@ def cmd_deps(args, parser) -> int:
         return EXIT_FAILURE
     depcore.annotate(unit, depcore.IdAllocator())
     table = depcore.build_element_table(unit)
-    index = depcore.build_ref_index({"main": depcore.ref_edges(unit)})
+    index = depcore.build_ref_index([depcore.ref_edges(unit)])
     try:
         eid = table.resolve_qname(args.element)
     except depcore.UnknownElementError:

@@ -235,16 +235,12 @@ def build_element_table(unit: ml.Unit) -> ElementTable:
 def union_tables(tables: Iterable[ElementTable]) -> ElementTable:
     """Combine tables from several views; the first view providing an element
     wins. Parent chains for shared elements agree across views (there are no
-    move operations), so the union is well defined."""
+    move operations), so the union is well defined. A union fills only
+    `elements` and `method_of`: it has no `by_qname` and no `order`."""
     out = ElementTable()
-    for table in tables:
-        for eid in table.order:
-            if eid not in out.elements:
-                out.elements[eid] = table.elements[eid]
-                out.method_of[eid] = table.method_of[eid]
-                out.order.append(eid)
-        for qname, eid in table.by_qname.items():
-            out.by_qname.setdefault(qname, eid)
+    for table in reversed(list(tables)):
+        out.elements.update(table.elements)
+        out.method_of.update(table.method_of)
     return out
 
 
@@ -254,17 +250,17 @@ def union_tables(tables: Iterable[ElementTable]) -> ElementTable:
 
 @dataclass
 class RefIndex:
-    """Directed reference edges (from-element, to-declaration), each tagged
-    with the views that contributed it. Symmetry is applied by the predicate,
-    not stored."""
+    """Directed reference edges (from-element, to-declaration). Symmetry is
+    applied by the predicate, not stored."""
 
-    sources: dict[tuple[int, int], set[str]] = field(default_factory=dict)
+    edges: set[tuple[int, int]] = field(default_factory=set)
 
     def add(self, from_eid: int, to_eid: int, source: str) -> None:
-        self.sources.setdefault((from_eid, to_eid), set()).add(source)
+        # `source` names where the edge came from; the index does not keep it
+        self.edges.add((from_eid, to_eid))
 
     def has(self, from_eid: int, to_eid: int) -> bool:
-        return (from_eid, to_eid) in self.sources
+        return (from_eid, to_eid) in self.edges
 
 
 def edges_of(bindings: semantics.BindingTable) -> set[tuple[int, int]]:
@@ -282,14 +278,10 @@ def ref_edges(unit: ml.Unit) -> set[tuple[int, int]]:
     return edges_of(semantics.resolve(unit).table)
 
 
-def build_ref_index(edges: dict[str, Iterable[tuple[int, int]]]) -> RefIndex:
+def build_ref_index(edge_sets: Iterable[set[tuple[int, int]]]) -> RefIndex:
     """Union the reference edges of every view (authoritative snapshot plus
-    developer overlays), each edge set tagged with its view's name."""
-    index = RefIndex()
-    for source, pairs in edges.items():
-        for from_eid, to_eid in pairs:
-            index.add(from_eid, to_eid, source)
-    return index
+    developer overlays)."""
+    return RefIndex(set().union(*edge_sets))
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from .scenario import (
 from .synckernel import Kernel, KernelConfig, KernelError, OFF_RECORD
 
 DEFAULT_PORT = 7457
+MAX_LINE_BYTES = 1 << 20  # longest request line the server reads
 
 _BROADCAST_KINDS = ("committed", "mode_changed")
 
@@ -146,10 +147,14 @@ class WireServer:
         conn.buf += data
         while b"\n" in conn.buf:
             raw, conn.buf = conn.buf.split(b"\n", 1)
-            if raw.strip():
+            if len(raw) > MAX_LINE_BYTES:
+                self._proto_error(conn, f"request line longer than {MAX_LINE_BYTES} bytes")
+            elif raw.strip():
                 self._handle(conn, raw)
             if conn.sock not in self._conns:
                 return
+        if len(conn.buf) > MAX_LINE_BYTES:
+            self._proto_error(conn, f"request line longer than {MAX_LINE_BYTES} bytes")
 
     def _proto_error(self, conn: _Conn, message: str, cid=None) -> None:
         self._send(conn, {"t": "error", "cid": cid, "code": "proto", "message": message})

@@ -207,7 +207,6 @@ class Kernel:
         self.devs: dict[str, _Overlay] = {}
         self.lock_holder: dict[int, str] = {}
         self.lease_deadline: dict[int, int] = {}
-        self._union_cache: depcore.ElementTable | None = None
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -222,27 +221,16 @@ class Kernel:
         except KeyError:
             raise KernelError("unknown-developer", f"unknown developer {dev!r}") from None
 
-    def _invalidate(self) -> None:
-        self._union_cache = None
-
-    def _union_table(self) -> depcore.ElementTable:
-        # snapshot first so authoritative qnames win on collision
-        if self._union_cache is None:
-            tables = [self.snapshot.table] + [
-                ov.table for _, ov in sorted(self.devs.items()) if ov.mode == ON_RECORD
-            ]
-            self._union_cache = depcore.union_tables(tables)
-        return self._union_cache
-
-    def _ref_index(self) -> depcore.RefIndex:
-        # Cached edge sets only: the snapshot's, plus each on-record
-        # developer's last-applied overlay resolve. Off-record developers are
-        # invisible here by design.
-        extra = {"snapshot": self.snapshot.edges}
-        for dev, ov in sorted(self.devs.items()):
-            if ov.mode == ON_RECORD:
-                extra[f"dev:{dev}"] = ov.edges
-        return depcore.build_ref_index(extra)
+    def _views(self) -> tuple[depcore.ElementTable, depcore.RefIndex]:
+        """The union of the snapshot and every on-record view: their element
+        tables, snapshot first so authoritative entries win, and their
+        reference edges. Built once per request. Off-record developers are
+        invisible to admission by design."""
+        views = [self.snapshot] + [ov for _, ov in sorted(self.devs.items()) if ov.mode == ON_RECORD]
+        return (
+            depcore.union_tables(view.table for view in views),
+            depcore.build_ref_index(view.edges for view in views),
+        )
 
     def locks_of(self, dev: str) -> set[int]:
         return {eid for eid, holder in self.lock_holder.items() if holder == dev}
@@ -280,7 +268,6 @@ class Kernel:
         if dev in self.devs:
             raise KernelError("duplicate-developer", f"developer {dev!r} already registered")
         self.devs[dev] = _Overlay(dev, self.snapshot, *self._replayed([]), self.snapshot.edges)
-        self._invalidate()
 
     def view_text(self, dev: str) -> str:
         return ml.print_unit(self._overlay(dev).tree)
@@ -299,12 +286,13 @@ class Kernel:
             return None
         return depcore.dependency_rule(a, b, index, table)
 
-    def _admission_conflicts(self, dev: str, touched, first_only: bool = True) -> list[dict]:
+    def _admission_conflicts(
+        self, dev: str, touched, table, index, first_only: bool = True
+    ) -> list[dict]:
         """Dependencies between the touched set and other developers' locks,
-        in deterministic order. Admission needs only the first; reconciliation
-        reports them all."""
-        index = self._ref_index()
-        table = self._union_table()
+        judged on the union of the views (see `_views`), in deterministic
+        order. Admission needs only the first; reconciliation reports them
+        all."""
         held = sorted((holder, eid) for eid, holder in self.lock_holder.items() if holder != dev)
         found: list[dict] = []
         for t in sorted(touched):
@@ -316,21 +304,14 @@ class Kernel:
                         return found
         return found
 
-    def _descendants_fn(self, ov: _Overlay):
-        union = self._union_table()
-
+    def _prepare(
+        self, ov: _Overlay, request: editops.EditRequest, union: depcore.ElementTable
+    ) -> editops.EditOp:
         def descendants(eid: int) -> set[int]:
-            if eid in union:
-                return union.descendants(eid)
-            return ov.table.descendants(eid)
+            return (union if eid in union else ov.table).descendants(eid)
 
-        return descendants
-
-    def _prepare(self, ov: _Overlay, request: editops.EditRequest) -> editops.EditOp:
         try:
-            return editops.prepare(
-                ov.tree, ov.table, request, self.alloc, self._descendants_fn(ov)
-            )
+            return editops.prepare(ov.tree, ov.table, request, self.alloc, descendants)
         except editops.OpError as exc:
             raise KernelError(exc.code, exc.message) from None
 
@@ -353,8 +334,9 @@ class Kernel:
         anything, or emitting events. Creation requests still consume fresh
         element ids."""
         ov = self._on_record(dev, "coordinated edits refused")
-        op = self._prepare(ov, request)
-        return self._admission_conflicts(dev, op.touched, first_only=False)
+        union, index = self._views()
+        op = self._prepare(ov, request, union)
+        return self._admission_conflicts(dev, op.touched, union, index, first_only=False)
 
     def request_edit(self, dev: str, request: editops.EditRequest) -> EditOutcome:
         """Admission, locking, application, gate. Emits lock_denied or
@@ -362,8 +344,9 @@ class Kernel:
         auto_commit is on and the overlay is buildable)."""
         ov = self._on_record(dev, "coordinated edits refused")
         self.check_leases()
-        op = self._prepare(ov, request)
-        conflicts = self._admission_conflicts(dev, op.touched)
+        union, index = self._views()
+        op = self._prepare(ov, request, union)
+        conflicts = self._admission_conflicts(dev, op.touched, union, index)
         if conflicts:
             # the first conflict supplies holder, rule and pair
             event = self._emit(
@@ -389,7 +372,6 @@ class Kernel:
             )
         )
         self._apply(ov, op)
-        self._invalidate()
         events.append(
             self._emit("edit_applied", dev, kind=op.kind, target=op.target, op=op.to_record())
         )
@@ -423,7 +405,8 @@ class Kernel:
         ov = self._overlay(dev)
         if ov.mode != OFF_RECORD:
             raise KernelError("not-off-record", f"{dev} is on the record; use request_edit")
-        op = self._prepare(ov, request)
+        union, _index = self._views()
+        op = self._prepare(ov, request, union)
         self._apply(ov, op)
         # deliberately no edge-cache update and no events: the kernel keeps
         # no public trace of off-record work
@@ -467,7 +450,6 @@ class Kernel:
             if other_name == dev or other.mode != ON_RECORD:
                 continue
             self._rebase(other, events)
-        self._invalidate()
         return CommitOutcome(True, version, events, report)
 
     def _rebase(self, ov: _Overlay, events: list[KernelEvent]) -> None:
@@ -504,7 +486,6 @@ class Kernel:
             return []
         self._release_all(dev)
         self._resync(ov, [])
-        self._invalidate()
         events = [self._emit("reverted", dev, reason=reason, dropped_ops=dropped)]
         if was_off:
             ov.mode = ON_RECORD
@@ -524,10 +505,10 @@ class Kernel:
                 raise KernelError(
                     "nonempty-overlay", f"{dev} has uncommitted work; commit or revert first"
                 )
+            # with no ops the view already is the latest snapshot, which
+            # becomes the spell's departure snapshot
             self._release_all(dev)
             ov.mode = OFF_RECORD
-            self._resync(ov, [])  # the departure snapshot becomes the base
-            self._invalidate()
             event = self._emit(
                 "mode_changed", dev, mode=OFF_RECORD, at_version=self.snapshot.version
             )
@@ -554,9 +535,10 @@ class Kernel:
                 after = depcore.element_content(self.snapshot.table.info(eid).node)
                 if before != after:
                     changed.append({"element": eid, "change": "modified"})
-        blocked = self._admission_conflicts(dev, touched | created, first_only=False)
+        blocked = self._admission_conflicts(dev, touched | created, *self._views(), first_only=False)
         replay_failure: str | None = None
-        if not changed and not blocked:
+        # with no commit during the spell the view already is base plus ops
+        if not changed and not blocked and ov.base is not self.snapshot:
             try:
                 self._resync(ov, ov.ops)
             except editops.ApplyError as exc:
@@ -577,7 +559,6 @@ class Kernel:
         events = [self._emit("reconcile_result", dev, result="clean", ops=len(ov.ops))]
         self._acquire(dev, touched | created)
         ov.mode = ON_RECORD
-        self._invalidate()
         events.append(self._emit("mode_changed", dev, mode=ON_RECORD, at_version=self.snapshot.version))
         if ov.ops:
             report = self._gate(ov, context="reconcile", events=events)

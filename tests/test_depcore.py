@@ -20,7 +20,7 @@ def build(src: str):
     assert unit is not None, diags
     depcore.annotate(unit, depcore.IdAllocator())
     table = depcore.build_element_table(unit)
-    index = depcore.build_ref_index({"main": depcore.ref_edges(unit)})
+    index = depcore.build_ref_index([depcore.ref_edges(unit)])
     return unit, table, index
 
 
@@ -546,13 +546,20 @@ def test_annotate_assigns_unique_ids_once():
 
 
 def test_union_tables_first_view_wins():
-    unit_a, table_a, _ = build("class A {\n    int x;\n}\n")
-    alloc = depcore.IdAllocator()
-    unit_b, diags = ml.parse_unit(ml.SourceText("class B {\n}\n", "<test>"))
-    assert unit_b is not None, diags
-    depcore.annotate(unit_b, alloc)
-    table_b = depcore.build_element_table(unit_b)
+    # separate allocators, so ids 1 and 2 name different elements per view
+    _unit_a, table_a, _ = build("class A {\n    int x;\n}\n")
+    _unit_b, table_b, _ = build("class B {\n    void m() {\n        int y = 1;\n    }\n}\n")
     merged = depcore.union_tables([table_a, table_b])
-    assert set(merged.elements) >= set(table_a.elements) | set(table_b.elements)
+    assert set(merged.elements) == set(table_a.elements) | set(table_b.elements)
     x = table_a.resolve_qname("A.x")
     assert merged.qname(x) == "A.x"
+    # an id in both views: the first view's ElementInfo and method_of win
+    assert merged.info(1) is table_a.info(1)
+    assert table_b.method_of[x] == x and merged.method_of[x] is None
+    stmt = table_b.resolve_qname("B.m/body[0]")
+    assert merged.qname(stmt) == "B.m/body[0]" and merged.method_of[stmt] == table_b.method_of[stmt]
+    # the reference index of two views that share an edge holds it once
+    index = depcore.build_ref_index([{(3, 2), (4, 1)}, {(3, 2), (5, 6)}])
+    assert index.has(3, 2) and index.has(4, 1) and index.has(5, 6)
+    assert not index.has(2, 3)
+    assert index.edges == {(3, 2), (4, 1), (5, 6)}

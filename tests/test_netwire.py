@@ -176,6 +176,23 @@ def test_over_nested_json_is_a_proto_error_and_the_server_keeps_serving():
         assert_still_serving(server)
 
 
+@pytest.mark.parametrize("newline", [False, True])
+def test_oversized_request_line_is_a_proto_error_and_the_server_keeps_serving(monkeypatch, newline):
+    # a small limit keeps a whole line with its newline inside one read
+    limit = 64 if newline else netwire.MAX_LINE_BYTES
+    monkeypatch.setattr(netwire, "MAX_LINE_BYTES", limit)
+    with serving() as server:
+        with raw_client(server) as line:
+            hello(line, "alice")
+            line.sock.sendall(b" " * (limit + 1) + (b"\n" if newline else b""))
+            reply = line.recv_line(5)
+            assert (reply["t"], reply["code"]) == ("error", "proto")
+            assert str(limit) in reply["message"]
+            with pytest.raises(ClientError, match="closed"):
+                line.recv_line(5)
+        assert_still_serving(server)
+
+
 def test_edit_reply_sequence_and_cid_placement():
     with serving() as server:
         with raw_client(server) as line:

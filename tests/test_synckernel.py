@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ssd import depcore
 from ssd import minilang as ml
 from ssd import semantics
+from ssd import synckernel
 from ssd.editops import EditRequest
 from ssd.synckernel import (
     EVENT_KINDS,
@@ -170,6 +171,35 @@ def test_same_dev_reacquires_own_locks():
     kernel = make(SHARED)
     assert kernel.request_edit("alice", EditRequest("rename_field", "Demo.someVar", {"new_name": "v2"})).granted
     assert kernel.request_edit("alice", EditRequest("rename_field", "Demo.v2", {"new_name": "v3"})).granted
+
+
+def test_each_admission_builds_the_union_of_the_views_once(monkeypatch):
+    calls = []
+
+    def counted(name):
+        original = getattr(depcore, name)
+
+        def wrapper(views):
+            calls.append(name)
+            return original(views)
+
+        return wrapper
+
+    for name in ("union_tables", "build_ref_index"):
+        monkeypatch.setattr(depcore, name, counted(name))
+    kernel = make(SHARED, devs=("carol", "dana"))
+    kernel.set_mode("carol", OFF_RECORD)
+    kernel.buffer_edit("carol", EditRequest("rename_method", "Demo.m1", {"new_name": "quiet"}))
+    once = ["union_tables", "build_ref_index"]
+    for request in (
+        lambda: kernel.request_edit("dana", EditRequest("set_field_init", "Demo.someVar", {"init": "4"})),
+        lambda: kernel.request_edit("dana", EditRequest("rename_method", "Demo.m2", {"new_name": "n"})),
+        lambda: kernel.check_admission("dana", EditRequest("rename_field", "Demo.someVar", {"new_name": "v"})),
+        lambda: kernel.set_mode("carol", ON_RECORD),
+    ):
+        calls.clear()
+        request()
+        assert calls == once
 
 
 def test_delete_sees_other_developers_unpublished_statements():
@@ -378,6 +408,37 @@ def test_reconcile_clean_adopts_buffer():
     assert "void quiet()" in kernel.view_text("carol")
     assert "int someVar = 4;" in kernel.view_text("carol")
     assert kernel.try_commit("carol").ok
+
+
+class _CountingCopy:
+    """Stands in for the `copy` module and counts `deepcopy` calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def deepcopy(self, x, memo=None):
+        self.calls += 1
+        return copy.deepcopy(x, memo)
+
+    def __getattr__(self, name):
+        return getattr(copy, name)
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_an_off_record_spell_without_a_commit_copies_no_tree(monkeypatch, buffered):
+    kernel = make(SHARED, devs=("carol", "dana"))
+    counting = _CountingCopy()
+    monkeypatch.setattr(synckernel, "copy", counting)
+    assert kernel.set_mode("carol", OFF_RECORD).ok
+    if buffered:
+        kernel.buffer_edit("carol", EditRequest("rename_method", "Demo.m1", {"new_name": "quiet"}))
+    outcome = kernel.set_mode("carol", ON_RECORD)
+    assert outcome.ok and outcome.events[0].details["result"] == "clean"
+    assert counting.calls == 0
+    carol = kernel.devs["carol"]
+    assert carol.base is kernel.snapshot
+    assert carol.edges == depcore.ref_edges(carol.tree)
+    assert ("void quiet()" in kernel.view_text("carol")) == buffered
 
 
 def test_revert_returns_offrecord_developer_to_the_record():
