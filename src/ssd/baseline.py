@@ -120,8 +120,6 @@ class _Merge:
         self.a_tab = depcore.build_element_table(base)
         self.m_tab = depcore.build_element_table(mine)
         self.t_tab = depcore.build_element_table(theirs)
-        self.mine = mine
-        self.theirs = theirs
         self.conflicts: list[Conflict] = []
         self.fate: dict[int, int] = {}
 
@@ -198,7 +196,9 @@ class _Merge:
         tab = self.m_tab if self.fate[eid] == _MINE else self.t_tab
         return tab.info(eid).node
 
-    def _seq(self, tab: depcore.ElementTable, parent: int, slot: str) -> list[int]:
+    def _seq(self, tab: depcore.ElementTable, parent: int | None, slot: str) -> list[int]:
+        if parent is None:
+            return [eid for eid in tab.order if tab.info(eid).parent is None]
         if parent not in tab:
             return []
         node = tab.info(parent).node
@@ -206,9 +206,6 @@ class _Merge:
             if name == slot:
                 return [child.eid for child in children]
         return []
-
-    def _root(self, tab: depcore.ElementTable) -> list:
-        return [info.node for info in (tab.info(e) for e in tab.order) if info.parent is None]
 
     def _build_element(self, eid: int):
         source = self._chosen_node(eid)
@@ -223,15 +220,15 @@ class _Merge:
             )
         return node
 
-    def _merge_child_slot(self, parent: int, slot: str) -> list[int]:
+    def _merge_child_slot(self, parent: int | None, slot: str) -> list[int]:
+        """Merged child ids of one slot of `parent`; a `parent` of None
+        merges the class list."""
         a = self._seq(self.a_tab, parent, slot)
         m = self._seq(self.m_tab, parent, slot)
         t = self._seq(self.t_tab, parent, slot)
         merged, conflict = diff3_seq(a, m, t)
         if conflict:
-            self.conflicts.append(
-                Conflict(ORDER, parent, self._qname(parent), f"both sides changed {slot}")
-            )
+            self._conflict(ORDER, parent, f"both sides changed {slot}")
         merged = [e for e in merged if self.fate.get(e, _DEAD) != _DEAD]
         placed = set(merged)
         for side_seq in (m, t):
@@ -244,26 +241,8 @@ class _Merge:
     def run(self) -> tuple[ml.Unit, list[Conflict]]:
         self._decide_elements()
         self._fix_survival()
-        a = [c.eid for c in self._root(self.a_tab)]
-        m = [c.eid for c in self._root(self.m_tab)]
-        t = [c.eid for c in self._root(self.t_tab)]
-        merged, conflict = diff3_seq(a, m, t)
-        if conflict:
-            self.conflicts.append(Conflict(ORDER, None, "<unit>", "both sides changed the class list"))
-        merged = [e for e in merged if self.fate.get(e, _DEAD) != _DEAD]
-        placed = set(merged)
-        for side_seq in (m, t):
-            for eid in side_seq:
-                parent_tab = self.m_tab if eid in self.m_tab else self.t_tab
-                if (
-                    eid not in placed
-                    and self.fate.get(eid, _DEAD) != _DEAD
-                    and eid in parent_tab
-                    and parent_tab.info(eid).parent is None
-                ):
-                    merged.append(eid)
-                    placed.add(eid)
-        unit = ml.Unit([self._build_element(eid) for eid in merged])
+        classes = self._merge_child_slot(None, "the class list")
+        unit = ml.Unit([self._build_element(eid) for eid in classes])
         element_conflicts = list(self.conflicts)
         if not element_conflicts:
             gate = semantics.build_gate(unit)

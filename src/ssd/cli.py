@@ -61,10 +61,7 @@ def cmd_check(args, parser) -> int:
     if unit is None:
         _print_errors(diags, sys.stdout)
         return EXIT_FAILURE
-    # reference sites bind to element ids, so the tree must carry them for
-    # call and assignment checks to run
-    depcore.annotate(unit, depcore.IdAllocator())
-    result = semantics.build_gate(unit, version_checked=args.file)
+    result = semantics.build_gate(unit)
     _print_errors(result.report.errors, sys.stdout)
     return EXIT_OK if result.report.buildable else EXIT_FAILURE
 

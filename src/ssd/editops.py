@@ -153,7 +153,7 @@ def resolve_target(table: depcore.ElementTable, target: str | int) -> int:
 
 
 def resolve_container(
-    table: depcore.ElementTable, tree: ml.Unit, path: str | int, slot_arg: str | None = None
+    table: depcore.ElementTable, path: str | int, slot_arg: str | None = None
 ) -> tuple[int, str, list]:
     """Resolve `QNAME/slot` (or an owner id plus explicit slot) to the owner
     element and its statement list."""
@@ -249,7 +249,7 @@ def prepare(
     if isinstance(request.target, bool) or not isinstance(request.target, (str, int)):
         raise OpError("malformed-op", f"target must be a name or an element id: {request.target!r}")
     if kind == "insert_statement":
-        owner, slot, stmts = resolve_container(table, tree, request.target, args.get("slot"))
+        owner, slot, stmts = resolve_container(table, request.target, args.get("slot"))
         at = args.get("at", len(stmts))
         if isinstance(at, bool) or not isinstance(at, int) or not 0 <= at <= len(stmts):
             raise OpError("malformed-op", f"insert position {at!r} out of range")
@@ -446,9 +446,7 @@ def apply_op(tree: ml.Unit, table: depcore.ElementTable, op: EditOp) -> None:
         return
     if kind == "insert_statement":
         try:
-            _owner, _slot, stmts = resolve_container(
-                table, tree, op.target, op.args["slot"]
-            )
+            _owner, _slot, stmts = resolve_container(table, op.target, op.args["slot"])
         except OpError as exc:
             raise ApplyError(exc.code, exc.message) from None
         at = op.args["at"]

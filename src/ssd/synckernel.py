@@ -195,7 +195,7 @@ class Kernel:
             raise ValueError(f"initial source does not parse: {diags[0].message}")
         self.alloc = depcore.IdAllocator()
         depcore.annotate(tree, self.alloc)
-        gate = semantics.build_gate(tree, version_checked="v1")
+        gate = semantics.build_gate(tree)
         if not gate.report.buildable:
             first = gate.report.errors[0]
             raise ValueError(f"initial source is not buildable: {first.message}")
@@ -384,8 +384,7 @@ class Kernel:
         return outcome
 
     def _gate(self, ov: _Overlay, context: str, events: list[KernelEvent]) -> semantics.BuildReport:
-        label = f"{ov.dev}@v{ov.base.version}+{len(ov.ops)}"
-        result = semantics.build_gate(ov.tree, version_checked=label)
+        result = semantics.build_gate(ov.tree)
         ov.edges = depcore.edges_of(result.bindings)
         events.append(
             self._emit(
@@ -410,7 +409,7 @@ class Kernel:
         self._apply(ov, op)
         # deliberately no edge-cache update and no events: the kernel keeps
         # no public trace of off-record work
-        gate = semantics.build_gate(ov.tree, version_checked=f"{dev}@off+{len(ov.ops)}")
+        gate = semantics.build_gate(ov.tree)
         return op, gate.report
 
     # -- commit and propagation ----------------------------------------------

@@ -206,6 +206,19 @@ def test_competing_inserts_are_an_order_conflict():
     assert body.index("int b = 2;") < body.index("int a = 1;") < body.index("int x = f;")
 
 
+def test_competing_class_creations_are_one_order_conflict_on_the_unit():
+    repo = make()
+    repo.edit("d1", req("create_class", name="B"))
+    repo.checkin("d1")
+    repo.edit("d2", req("create_class", name="C"))
+    res = repo.checkin("d2")
+    assert res.conflicts == [
+        baseline.Conflict(baseline.ORDER, None, "<unit>", "both sides changed the class list")
+    ]
+    # central holds both classes: mine first, theirs-only after it
+    assert [cls.name for cls in repo.central.classes] == ["A", "C", "B"]
+
+
 def test_unbuildable_merge_is_a_build_conflict():
     # element-wise clean: one side renames the field (cascade rewrites its
     # own references), the other adds a reference in a different method

@@ -11,7 +11,7 @@ def gated(src: str) -> semantics.GateResult:
     unit, diags = ml.parse_unit(ml.SourceText(src, "<test>"))
     assert unit is not None, diags
     depcore.annotate(unit, depcore.IdAllocator())
-    return semantics.build_gate(unit, version_checked="<test>")
+    return semantics.build_gate(unit)
 
 
 def codes(src: str) -> list[str]:
@@ -43,7 +43,6 @@ def test_wellformed_program_is_buildable():
     assert result.report.status == semantics.BUILDABLE
     assert result.report.buildable
     assert result.report.errors == []
-    assert result.report.version_checked == "<test>"
     assert result.bindings is not None
 
 
@@ -238,3 +237,35 @@ def test_a_class_named_classes_is_type_checked_like_any_other():
         assert [(e.code, e.message) for e in errors] == [
             ("type-mismatch", f"expected {name}, got int")
         ], name
+
+
+def test_a_nested_error_in_a_call_argument_is_reported_once():
+    errors = gated("class A { void m(int a) { } void n() { m(1 + true); } }").report.errors
+    assert [(e.code, e.message) for e in errors] == [
+        ("type-mismatch", "operator '+' needs int operands, got bool")
+    ]
+
+
+def test_a_duplicate_class_is_bound_and_checked():
+    # every class is walked; a class name binds to its first declaration
+    src = "class A { } class A { int y; void m() { y = true; z = 1; } } class B { A a; }"
+    unit, _ = ml.parse_unit(ml.SourceText(src, "<test>"))
+    depcore.annotate(unit, depcore.IdAllocator())
+    result = semantics.build_gate(unit)
+    assert [e.code for e in result.report.errors] == [
+        "duplicate-declaration",
+        "type-mismatch",
+        "unresolved-identifier",
+    ]
+    first, second, b = unit.classes
+    y, m = second.members
+    a = b.members[0]
+    assert [(s.kind, s.name, s.target, s.owner) for s in result.bindings.sites] == [
+        ("ident", "y", y.eid, m.body[0].eid),
+        ("type", "A", first.eid, a.eid),
+    ]
+    assert depcore.edges_of(result.bindings) == {(m.body[0].eid, y.eid), (a.eid, first.eid)}
+
+
+def test_the_return_value_of_a_method_with_an_unknown_return_type_is_checked():
+    assert codes("class A { Q m() { return 1 + true; } }") == ["unknown-type", "type-mismatch"]
