@@ -298,7 +298,7 @@ class BaselineRepo:
         against this copy."""
         wc = self._copy(dev)
         op = editops.prepare(wc.tree, wc.table, request, self.alloc)
-        editops.apply_op(wc.tree, wc.table, op)
+        editops.apply_op(wc.tree, op)
         wc.table = depcore.build_element_table(wc.tree)
         return op
 

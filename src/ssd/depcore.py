@@ -65,32 +65,18 @@ class IdAllocator:
 def annotate(unit: ml.Unit, alloc: IdAllocator) -> None:
     """Assign fresh element ids to every element node that lacks one, in
     deterministic pre-order."""
-    for node, _parent in _walk(unit):
+    for node, _seq, _i in walk(unit):
         if node.eid is None:
             node.eid = alloc.fresh()
 
 
-def _walk(unit: ml.Unit) -> Iterator[tuple[object, object | None]]:
-    """Yield (element node, parent element node) in pre-order."""
-
-    def stmts(body: list[ml.Stmt], parent) -> Iterator[tuple[object, object | None]]:
-        for stmt in body:
-            yield stmt, parent
-            if isinstance(stmt, ml.IfStmt):
-                yield from stmts(stmt.then_body, stmt)
-                if stmt.else_body is not None:
-                    yield from stmts(stmt.else_body, stmt)
-            elif isinstance(stmt, ml.WhileStmt):
-                yield from stmts(stmt.body, stmt)
-
-    for cls in unit.classes:
-        yield cls, None
-        for member in cls.members:
-            yield member, cls
-            if isinstance(member, ml.MethodDecl):
-                for param in member.params:
-                    yield param, member
-                yield from stmts(member.body, member)
+def walk(node) -> Iterator[tuple[object, list, int]]:
+    """Yield (element, its container list, its index there) for every
+    element below `node`, in pre-order."""
+    for _slot, seq in child_slots(node):
+        for i, child in enumerate(seq):
+            yield child, seq, i
+            yield from walk(child)
 
 
 def child_slots(node) -> list[tuple[str, list]]:

@@ -133,16 +133,7 @@ def _parse_expr_text(text) -> ml.Expr:
 
 def stmt_elements(stmt: ml.Stmt) -> list[ml.Stmt]:
     """The statement and every nested statement, pre-order."""
-    out = [stmt]
-    if isinstance(stmt, ml.IfStmt):
-        for child in stmt.then_body:
-            out.extend(stmt_elements(child))
-        for child in stmt.else_body or []:
-            out.extend(stmt_elements(child))
-    elif isinstance(stmt, ml.WhileStmt):
-        for child in stmt.body:
-            out.extend(stmt_elements(child))
-    return out
+    return [stmt] + [node for node, _seq, _i in depcore.walk(stmt)]
 
 
 def resolve_target(table: depcore.ElementTable, target: str | int) -> int:
@@ -172,20 +163,17 @@ def resolve_container(
             owner = table.resolve_qname(prefix)
         except depcore.UnknownElementError:
             raise OpError("unknown-element", f"unknown element: {prefix!r}") from None
-    node = table.info(owner).node
-    if isinstance(node, ml.MethodDecl) and slot == "body":
-        return owner, slot, node.body
-    if isinstance(node, ml.IfStmt) and slot == "then":
-        return owner, slot, node.then_body
-    if isinstance(node, ml.IfStmt) and slot == "else":
-        if node.else_body is None:
-            raise OpError("malformed-op", f"'{table.qname(owner)}' has no else branch")
-        return owner, slot, node.else_body
-    if isinstance(node, ml.WhileStmt) and slot == "body":
-        return owner, slot, node.body
-    raise OpError(
-        "malformed-op", f"'{table.qname(owner)}' has no statement slot '{slot}'"
-    )
+    return owner, slot, _statements(table.info(owner).node, slot, lambda: table.qname(owner))
+
+
+def _statements(node, slot: str, qname: Callable[[], str]) -> list:
+    """The statement list `slot` of `node`; `qname()` names the node in the
+    error when it has no such list."""
+    if slot in _CONTAINER_SLOTS:
+        for name, stmts in depcore.child_slots(node):
+            if name == slot:
+                return stmts
+    raise OpError("malformed-op", f"'{qname()}' has no statement slot '{slot}'")
 
 
 def _cascade_owners(tree: ml.Unit, target_eid: int) -> set[int]:
@@ -358,22 +346,12 @@ class ApplyError(Exception):
         self.code = code
 
 
-def _locate(tree: ml.Unit, table: depcore.ElementTable, eid: int) -> tuple[list, int]:
-    """Container list and index of an element inside its parent."""
-    info = table.info(eid)
-    if info.parent is None:
-        seq = tree.classes
-    else:
-        parent_node = table.info(info.parent).node
-        for _slot, seq in depcore.child_slots(parent_node):
-            if any(child is info.node for child in seq):
-                break
-        else:
-            raise ApplyError("unknown-element", f"element {eid} detached from parent")
-    for i, child in enumerate(seq):
-        if child is info.node:
+def _find(tree: ml.Unit, eid: int) -> tuple[list, int]:
+    """Container list and index of an element, found by walking the tree."""
+    for node, seq, i in depcore.walk(tree):
+        if node.eid == eid:
             return seq, i
-    raise ApplyError("unknown-element", f"element {eid} not in its container")
+    raise ApplyError("unknown-element", f"element {eid} not in this view")
 
 
 def _stamp(stmt: ml.Stmt, ids: list[int]) -> None:
@@ -381,21 +359,18 @@ def _stamp(stmt: ml.Stmt, ids: list[int]) -> None:
         node.eid = ids.pop(0)
 
 
-def apply_op(tree: ml.Unit, table: depcore.ElementTable, op: EditOp) -> None:
-    """Apply one prepared op in place. The caller rebuilds the element table
-    afterwards. Deterministic: same tree and op always produce the same
-    result, including created element ids."""
+def apply_op(tree: ml.Unit, op: EditOp) -> None:
+    """Apply one prepared op to `tree` in place. The op finds its target by
+    walking `tree` and changes only nodes of `tree`; it reads no element
+    table, so a caller builds one when it needs it. Deterministic: same tree
+    and op always produce the same result, including created element ids."""
     kind = op.kind
     if kind == "create_class":
         tree.classes.append(ml.ClassDecl(op.args["name"], [], eid=op.created[0]))
         return
 
-    try:
-        info = table.info(op.target)
-    except depcore.UnknownElementError:
-        raise ApplyError("unknown-element", f"element {op.target} not in this view") from None
-    node = info.node
-
+    seq, i = _find(tree, op.target)
+    node = seq[i]
     if kind in ("rename_class", "rename_field", "rename_method", "rename_param"):
         new_name = op.args["new_name"]
         # cascade: rewrite every reference site of this declaration
@@ -405,8 +380,8 @@ def apply_op(tree: ml.Unit, table: depcore.ElementTable, op: EditOp) -> None:
                 setattr(site.node, site.attr, new_name)
         node.name = new_name
         return
-    if kind == "delete_class":
-        tree.classes.remove(node)
+    if kind in ("delete_class", "delete_method", "remove_param", "delete_statement"):
+        del seq[i]
         return
     if kind == "add_field":
         init = _parse_expr_text(op.args["init"]) if "init" in op.args else None
@@ -419,7 +394,7 @@ def apply_op(tree: ml.Unit, table: depcore.ElementTable, op: EditOp) -> None:
             ml.MethodDecl(op.args["ret"], op.args["name"], [], [], eid=op.created[0])
         )
         return
-    if kind == "set_field_type":
+    if kind in ("set_field_type", "set_param_type"):
         node.type_name = op.args["type"]
         return
     if kind == "set_field_init":
@@ -428,25 +403,17 @@ def apply_op(tree: ml.Unit, table: depcore.ElementTable, op: EditOp) -> None:
     if kind == "set_return_type":
         node.ret_type = op.args["ret"]
         return
-    if kind == "delete_method":
-        seq, i = _locate(tree, table, op.target)
-        del seq[i]
-        return
     if kind == "add_param":
         node.params.insert(
             op.args["at"], ml.Param(op.args["type"], op.args["name"], eid=op.created[0])
         )
         return
-    if kind == "set_param_type":
-        node.type_name = op.args["type"]
-        return
-    if kind == "remove_param":
-        seq, i = _locate(tree, table, op.target)
-        del seq[i]
-        return
     if kind == "insert_statement":
+        # only the error names the owner, so only the error builds a table
         try:
-            _owner, _slot, stmts = resolve_container(table, op.target, op.args["slot"])
+            stmts = _statements(
+                node, op.args["slot"], lambda: depcore.build_element_table(tree).qname(op.target)
+            )
         except OpError as exc:
             raise ApplyError(exc.code, exc.message) from None
         at = op.args["at"]
@@ -457,13 +424,8 @@ def apply_op(tree: ml.Unit, table: depcore.ElementTable, op: EditOp) -> None:
         stmts.insert(at, parsed)
         return
     if kind == "replace_statement":
-        seq, i = _locate(tree, table, op.target)
         parsed = _parse_stmt_text(op.args["text"])
         _stamp(parsed, [op.target] + list(op.created))
         seq[i] = parsed
-        return
-    if kind == "delete_statement":
-        seq, i = _locate(tree, table, op.target)
-        del seq[i]
         return
     raise ApplyError("malformed-op", f"unhandled edit kind {kind!r}")  # pragma: no cover

@@ -135,7 +135,7 @@ class _Walker:
                 self.params, self.scope = {}, []
                 self._type_ref(member, "type_name")
                 if member.init is not None:
-                    self._check_value(member.init, member.type_name, owner=member.eid)
+                    self._check_value(member.init, self._known(member.type_name), owner=member.eid)
             else:
                 self._method(member)
 

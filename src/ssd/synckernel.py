@@ -85,9 +85,6 @@ class KernelConfig:
                 raise ValueError(f"line {lineno}: unknown config key {key!r}")
         return KernelConfig(**values)
 
-    def to_dict(self) -> dict:
-        return {"auto_commit": self.auto_commit, "lock_lease_ms": self.lock_lease_ms}
-
 
 @dataclass(frozen=True)
 class KernelEvent:
@@ -127,8 +124,9 @@ class _Overlay:
 
     On the record, `base` is the latest snapshot and `ops` the pending
     (locked, uncommitted) ops. Off the record, `base` is the snapshot the
-    spell started from and `ops` the buffered ops. Either way `tree` and
-    `table` equal `replay_onto(deepcopy(base.tree), ops)`."""
+    spell started from and `ops` the buffered ops. Either way `tree` equals
+    `replay_onto(deepcopy(base.tree), ops)` and `table` is that tree's
+    element table, rebuilt after every change to the tree."""
 
     dev: str
     base: Snapshot
@@ -163,16 +161,12 @@ class ModeOutcome:
     events: list[KernelEvent]
 
 
-def replay_onto(
-    tree: ml.Unit, ops: list[editops.EditOp]
-) -> tuple[ml.Unit, depcore.ElementTable]:
-    """Apply ops in order to `tree` (mutating it), rebuilding the element
-    table after each step. Deterministic."""
-    table = depcore.build_element_table(tree)
+def replay_onto(tree: ml.Unit, ops: list[editops.EditOp]) -> ml.Unit:
+    """Apply ops in order to `tree`, mutating it, and return it. Each op
+    finds its own target, so no element table is built. Deterministic."""
     for op in ops:
-        editops.apply_op(tree, table, op)
-        table = depcore.build_element_table(tree)
-    return tree, table
+        editops.apply_op(tree, op)
+    return tree
 
 
 class Kernel:
@@ -250,9 +244,10 @@ class Kernel:
     # -- registration and views ----------------------------------------------
 
     def _replayed(self, ops: list[editops.EditOp]) -> tuple[ml.Unit, depcore.ElementTable]:
-        """The current snapshot plus `ops`, on a fresh copy of its tree. The
-        only place the kernel copies a tree."""
-        return replay_onto(copy.deepcopy(self.snapshot.tree), ops)
+        """The current snapshot plus `ops`, on a fresh copy of its tree, and
+        the tree's element table. The only place the kernel copies a tree."""
+        tree = replay_onto(copy.deepcopy(self.snapshot.tree), ops)
+        return tree, depcore.build_element_table(tree)
 
     def _resync(self, ov: _Overlay, ops: list[editops.EditOp]) -> None:
         """Rebase the view on the current snapshot with `ops` on top. Raises
@@ -324,7 +319,7 @@ class Kernel:
         return ov
 
     def _apply(self, ov: _Overlay, op: editops.EditOp) -> None:
-        editops.apply_op(ov.tree, ov.table, op)
+        editops.apply_op(ov.tree, op)
         ov.table = depcore.build_element_table(ov.tree)
         ov.ops.append(op)
 
@@ -600,5 +595,5 @@ class Kernel:
             if event.kind != "committed":
                 continue
             ops = [editops.EditOp.from_record(r) for r in event.details["ops"]]
-            tree, _table = replay_onto(tree, ops)
+            tree = replay_onto(tree, ops)
         return ml.print_unit(tree)

@@ -20,7 +20,7 @@ def build(src: str, alloc: depcore.IdAllocator | None = None):
 
 def run(tree, table, alloc, kind, target=None, **args):
     op = editops.prepare(tree, table, editops.EditRequest(kind, target, args), alloc)
-    editops.apply_op(tree, table, op)
+    editops.apply_op(tree, op)
     return op, depcore.build_element_table(tree)
 
 
@@ -221,6 +221,13 @@ def test_delete_method_and_class():
     assert ml.print_unit(tree) == ""
 
 
+def test_delete_class_removes_the_class_it_names_not_an_equal_one():
+    # eid takes no part in AST equality: only identity tells the two apart
+    tree, table, alloc = build("class A {\n}\n\nclass A {\n}\n")
+    run(tree, table, alloc, "delete_class", 2)
+    assert [cls.eid for cls in tree.classes] == [1]
+
+
 def test_delete_uses_widened_descendants_when_given():
     tree, table, alloc = build(BASE)
     foo = table.resolve_qname("Demo.Foo")
@@ -300,6 +307,10 @@ def test_validation_errors():
         expect("malformed-op", "insert_statement", "Demo.Foo/body", text="int x;", at=flag)
         expect("malformed-op", "add_param", "Demo.Foo", type="int", name="p", at=flag)
     expect("malformed-op", "replace_statement", "Demo.Foo/body[0]", text="")
+    # a method's element lists other than its body hold no statements
+    expect("malformed-op", "insert_statement", "Demo.Foo/then", text="int x;")
+    foo = table.resolve_qname("Demo.Foo")
+    expect("malformed-op", "insert_statement", foo, text="int x;", slot="params")
 
 
 def test_typo_type_is_accepted_by_ops_and_left_to_the_gate():
@@ -319,8 +330,8 @@ def test_prepared_op_applies_identically_to_copies():
     )
     copy_a = copy.deepcopy(tree)
     copy_b = copy.deepcopy(tree)
-    editops.apply_op(copy_a, depcore.build_element_table(copy_a), op)
-    editops.apply_op(copy_b, depcore.build_element_table(copy_b), op)
+    editops.apply_op(copy_a, op)
+    editops.apply_op(copy_b, op)
     assert copy_a == copy_b
     ta = depcore.build_element_table(copy_a)
     tb = depcore.build_element_table(copy_b)
@@ -348,6 +359,6 @@ def test_apply_after_target_vanished_raises_apply_error():
         editops.EditRequest("rename_method", "Demo.Foo", {"new_name": "Bar"}),
         alloc,
     )
-    gone, table2 = run(tree, table, alloc, "delete_method", "Demo.Foo")
+    run(tree, table, alloc, "delete_method", "Demo.Foo")
     with pytest.raises(editops.ApplyError):
-        editops.apply_op(tree, table2, op)
+        editops.apply_op(tree, op)

@@ -269,3 +269,10 @@ def test_a_duplicate_class_is_bound_and_checked():
 
 def test_the_return_value_of_a_method_with_an_unknown_return_type_is_checked():
     assert codes("class A { Q m() { return 1 + true; } }") == ["unknown-type", "type-mismatch"]
+
+
+def test_a_field_initialiser_is_not_held_to_an_unknown_declared_type():
+    # as for a local: an unknown type is reported once, at the type
+    assert codes("class A { Q x = 1; }") == ["unknown-type"]
+    assert codes("class A { void m() { Q x = 1; } }") == ["unknown-type"]
+    assert codes("class A { Q x = 1 + true; }") == ["unknown-type", "type-mismatch"]

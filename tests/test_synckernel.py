@@ -410,6 +410,50 @@ def test_reconcile_clean_adopts_buffer():
     assert kernel.try_commit("carol").ok
 
 
+BRANCHY = textwrap.dedent(
+    """\
+    class C {
+        int f;
+
+        void m() {
+            if (true) {
+            } else {
+            }
+        }
+    }
+    """
+)
+
+
+@pytest.mark.parametrize(
+    "slot, dana_edit, failure",
+    [
+        (
+            "else",
+            EditRequest("replace_statement", "C.m/body[0]", {"text": "f = 4;"}),
+            "malformed-op: 'C.m/body[0]' has no statement slot 'else'",
+        ),
+        (
+            "then",
+            EditRequest("delete_statement", "C.m/body[0]"),
+            "unknown-element: element 4 not in this view",
+        ),
+    ],
+)
+def test_reconcile_reports_why_the_buffered_ops_no_longer_apply(slot, dana_edit, failure):
+    # the apply-time error text reaches the event log as replay_failure
+    kernel = make(BRANCHY, devs=("carol", "dana"))
+    kernel.set_mode("carol", OFF_RECORD)
+    kernel.buffer_edit("carol", EditRequest("insert_statement", f"C.m/body[0]/{slot}", {"text": "f = 1;"}))
+    assert kernel.request_edit("dana", dana_edit).granted
+    assert kernel.try_commit("dana").ok
+    outcome = kernel.set_mode("carol", ON_RECORD)
+    assert not outcome.ok
+    [event] = outcome.events
+    assert event.details["changed"] == [] and event.details["blocked"] == []
+    assert event.details["replay_failure"] == failure
+
+
 class _CountingCopy:
     """Stands in for the `copy` module and counts `deepcopy` calls."""
 
@@ -439,6 +483,49 @@ def test_an_off_record_spell_without_a_commit_copies_no_tree(monkeypatch, buffer
     assert carol.base is kernel.snapshot
     assert carol.edges == depcore.ref_edges(carol.tree)
     assert ("void quiet()" in kernel.view_text("carol")) == buffered
+
+
+THREE = textwrap.dedent(
+    """\
+    class A {
+        int a;
+
+        void m() {
+        }
+    }
+
+    class B {
+        int b;
+
+        void n() {
+        }
+    }
+    """
+)
+
+
+def test_a_commit_builds_one_element_table_per_replayed_view(monkeypatch):
+    kernel = make(THREE, devs=("alice", "bob", "carol"))
+    for request in (
+        EditRequest("set_field_init", "A.a", {"init": "1"}),
+        EditRequest("add_method", "A", {"name": "k"}),
+        EditRequest("rename_method", "A.m", {"new_name": "m2"}),
+    ):
+        assert kernel.request_edit("alice", request).granted
+    for request in (
+        EditRequest("set_field_init", "B.b", {"init": "2"}),
+        EditRequest("rename_method", "B.n", {"new_name": "n2"}),
+    ):
+        assert kernel.request_edit("bob", request).granted
+    counting = _CountingCopy()
+    monkeypatch.setattr(synckernel, "copy", counting)
+    tables = []
+    build = depcore.build_element_table
+    monkeypatch.setattr(depcore, "build_element_table", lambda unit: tables.append(unit) or build(unit))
+    assert kernel.try_commit("alice").ok
+    # the new snapshot, bob's view and carol's view
+    assert counting.calls == 3
+    assert len(tables) == counting.calls
 
 
 def test_revert_returns_offrecord_developer_to_the_record():
@@ -488,7 +575,7 @@ def test_config_parse():
     cfg = KernelConfig.parse("auto_commit = false\nlock_lease_ms = 250\n# comment\n")
     assert cfg.auto_commit is False
     assert cfg.lock_lease_ms == 250
-    assert KernelConfig.parse("").to_dict() == KernelConfig().to_dict()
+    assert KernelConfig.parse("") == KernelConfig()
     with pytest.raises(ValueError):
         KernelConfig.parse("no_such_key = 1")
     with pytest.raises(ValueError):
@@ -655,9 +742,9 @@ class KernelMachine(RuleBasedStateMachine):
         if not hasattr(self, "kernel"):
             return
         for dev, ov in sorted(self.kernel.devs.items()):
-            tree, table = replay_onto(copy.deepcopy(ov.base.tree), ov.ops)
+            tree = replay_onto(copy.deepcopy(ov.base.tree), ov.ops)
             assert tree == ov.tree, dev
-            assert table.order == ov.table.order, dev
+            assert depcore.build_element_table(tree).order == ov.table.order, dev
             if ov.mode == ON_RECORD:
                 assert ov.base is self.kernel.snapshot, dev
 
