@@ -198,7 +198,7 @@ class _Merge:
 
     def _seq(self, tab: depcore.ElementTable, parent: int | None, slot: str) -> list[int]:
         if parent is None:
-            return [eid for eid in tab.order if tab.info(eid).parent is None]
+            return [eid for eid, info in tab.elements.items() if info.parent is None]
         if parent not in tab:
             return []
         node = tab.info(parent).node
@@ -271,12 +271,10 @@ class BaselineRepo:
         self.alloc = depcore.IdAllocator()
         depcore.annotate(tree, self.alloc)
         self.central = tree
-        self.central_table = depcore.build_element_table(tree)
         self.version = 1
         self.devs: dict[str, _WorkingCopy] = {}
         self.checkins = 0
         self.merge_invocations = 0
-        self.all_conflicts: list[Conflict] = []
 
     def register(self, dev: str) -> None:
         if dev in self.devs:
@@ -331,8 +329,6 @@ class BaselineRepo:
         if changed:
             self.version += 1
             self.central = merged_tree
-            self.central_table = depcore.build_element_table(self.central)
-        self.all_conflicts.extend(conflicts)
         wc.base_version = self.version
         wc.base_tree = self.central
         wc.tree = copy.deepcopy(self.central)

@@ -127,24 +127,24 @@ def element_content(node) -> tuple:
     raise TypeError(f"not an element node: {node!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class ElementInfo:
     eid: int
     kind: str
     parent: int | None
     qname: str
     node: object
+    method: int | None  # nearest method ancestor-or-self
 
 
 @dataclass
 class ElementTable:
-    """Per-tree element directory: id -> info, plus qualified-name lookup and
-    a precomputed nearest-method-ancestor-or-self map."""
+    """Element directory of one tree, or of a union of views: id -> info,
+    plus qualified-name lookup (a union has none). `elements` is in pre-order,
+    so every parent comes before its children; `descendants` relies on it."""
 
     elements: dict[int, ElementInfo] = field(default_factory=dict)
     by_qname: dict[str, int] = field(default_factory=dict)
-    method_of: dict[int, int | None] = field(default_factory=dict)
-    order: list[int] = field(default_factory=list)
 
     def info(self, eid: int) -> ElementInfo:
         try:
@@ -165,17 +165,13 @@ class ElementTable:
             raise UnknownElementError(qname) from None
 
     def descendants(self, eid: int) -> set[int]:
-        """eid plus every element below it."""
+        """eid plus every element below it, in one pass: a child is reached
+        after its parent, which is already in the set if it is below eid."""
         self.info(eid)
         out = {eid}
-        # parent pointers only; repeated sweeps are fine at desk scale
-        changed = True
-        while changed:
-            changed = False
-            for info in self.elements.values():
-                if info.eid not in out and info.parent in out:
-                    out.add(info.eid)
-                    changed = True
+        for info in self.elements.values():
+            if info.parent in out:
+                out.add(info.eid)
         return out
 
 
@@ -186,11 +182,8 @@ def build_element_table(unit: ml.Unit) -> ElementTable:
     def add(node, kind: str, parent: int | None, qname: str, method: int | None) -> int:
         if node.eid is None:
             raise ValueError(f"element without id: {qname}")
-        info = ElementInfo(node.eid, kind, parent, qname, node)
-        table.elements[node.eid] = info
+        table.elements[node.eid] = ElementInfo(node.eid, kind, parent, qname, node, method)
         table.by_qname.setdefault(qname, node.eid)
-        table.method_of[node.eid] = method
-        table.order.append(node.eid)
         return node.eid
 
     def add_stmts(body: list[ml.Stmt], parent_eid: int, prefix: str, method: int) -> None:
@@ -210,23 +203,24 @@ def build_element_table(unit: ml.Unit) -> ElementTable:
             if isinstance(member, ml.FieldDecl):
                 add(member, FIELD, cls_eid, f"{cls.name}.{member.name}", None)
             else:
-                m_eid = add(member, METHOD, cls_eid, f"{cls.name}.{member.name}", None)
-                table.method_of[m_eid] = m_eid  # ancestor-or-self
+                qname = f"{cls.name}.{member.name}"
+                m_eid = add(member, METHOD, cls_eid, qname, member.eid)  # ancestor-or-self
                 for param in member.params:
-                    add(param, PARAM, m_eid, f"{cls.name}.{member.name}.{param.name}", m_eid)
-                add_stmts(member.body, m_eid, f"{cls.name}.{member.name}/body", m_eid)
+                    add(param, PARAM, m_eid, f"{qname}.{param.name}", m_eid)
+                add_stmts(member.body, m_eid, f"{qname}/body", m_eid)
     return table
 
 
 def union_tables(tables: Iterable[ElementTable]) -> ElementTable:
     """Combine tables from several views; the first view providing an element
     wins. Parent chains for shared elements agree across views (there are no
-    move operations), so the union is well defined. A union fills only
-    `elements` and `method_of`: it has no `by_qname` and no `order`."""
+    move operations), so the union is well defined. It keeps parents before
+    children: each table holds every ancestor of its elements, and
+    `dict.update` leaves a key it already holds where it stands. A union
+    fills only `elements`: it has no `by_qname`."""
     out = ElementTable()
     for table in reversed(list(tables)):
         out.elements.update(table.elements)
-        out.method_of.update(table.method_of)
     return out
 
 
@@ -277,12 +271,11 @@ def build_ref_index(edge_sets: Iterable[set[tuple[int, int]]]) -> RefIndex:
 def dependency_rule(a: int, b: int, index: RefIndex, table: ElementTable) -> int | None:
     """Which rule makes a and b dependent: 1 same element, 2 shared enclosing
     method, 3 reference either way. None when independent."""
-    table.info(a)
-    table.info(b)
+    method_a = table.info(a).method
+    method_b = table.info(b).method
     if a == b:
         return 1
-    method_a = table.method_of.get(a)
-    if method_a is not None and method_a == table.method_of.get(b):
+    if method_a is not None and method_a == method_b:
         return 2
     if index.has(a, b) or index.has(b, a):
         return 3

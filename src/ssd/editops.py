@@ -243,7 +243,7 @@ def prepare(
             raise OpError("malformed-op", f"insert position {at!r} out of range")
         parsed = _parse_stmt_text(args.get("text"))
         created = tuple(alloc.fresh() for _ in stmt_elements(parsed))
-        method = table.method_of.get(owner)
+        method = table.info(owner).method
         touched = set(created) | ({method} if method is not None else set())
         return EditOp(
             kind,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 import shlex
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -39,6 +39,9 @@ MODE_BY_VERB = {"off_record": OFF_RECORD, "on_record": ON_RECORD}
 _INT_ARGS = frozenset(["at"])
 _EDIT_ARG_KEYS = frozenset(["name", "new_name", "type", "ret", "init", "text", "at", "slot"])
 _OPTION_KEYS = _EDIT_ARG_KEYS | {"expect", "retry", "attempts", "backoff"}
+
+# header keys that set the kernel config, validated by KernelConfig
+_CONFIG_KEYS = tuple(f.name for f in fields(KernelConfig))
 
 # edit kinds whose target is a container path / omitted entirely
 _NO_TARGET = frozenset(["create_class"])
@@ -131,7 +134,12 @@ def _parse_action(line_no: int, line: str, developers: list[str]) -> Action:
 
     args: dict = {}
     for key in _EDIT_ARG_KEYS & options.keys():
-        args[key] = int(options[key]) if key in _INT_ARGS else options[key]
+        args[key] = options[key]
+        if key in _INT_ARGS:
+            try:
+                args[key] = int(options[key])
+            except ValueError:
+                raise ScenarioError(f"line {line_no}: {key}= must be an integer") from None
 
     expect = options.get("expect")
     if expect is not None and expect != "denied" and not expect.startswith("error:"):
@@ -176,12 +184,10 @@ def parse_scenario(text: str, name: str = "<inline>", project_text: str | None =
             continue
         if in_header:
             in_header = False
-            developers = header.get("developers", "").split()
-            _check_header(header, developers)
+            developers, config = _check_header(header)
         actions.append(_parse_action(line_no, line, developers))
     if in_header:
-        developers = header.get("developers", "").split()
-        _check_header(header, developers)
+        developers, config = _check_header(header)
 
     last_vt: dict[str, int] = {}
     for action in actions:
@@ -191,10 +197,6 @@ def parse_scenario(text: str, name: str = "<inline>", project_text: str | None =
             )
         last_vt[action.dev] = action.vt
 
-    config = KernelConfig(
-        auto_commit=header.get("auto_commit", "true") == "true",
-        lock_lease_ms=int(header.get("lock_lease_ms", "0")),
-    )
     return ScenarioScript(
         name,
         header.get("project", ""),
@@ -206,7 +208,9 @@ def parse_scenario(text: str, name: str = "<inline>", project_text: str | None =
     )
 
 
-def _check_header(header: dict[str, str], developers: list[str]) -> None:
+def _check_header(header: dict[str, str]) -> tuple[list[str], KernelConfig]:
+    """Validate the header; return its developers and kernel config."""
+    developers = header.get("developers", "").split()
     if header.get("format") != str(FORMAT_VERSION):
         raise ScenarioError(f"missing or unsupported 'format:' header (expected {FORMAT_VERSION})")
     if not developers:
@@ -216,17 +220,15 @@ def _check_header(header: dict[str, str], developers: list[str]) -> None:
     mode = header.get("mode", "both")
     if mode not in MODES:
         raise ScenarioError(f"mode must be one of {', '.join(MODES)}, got {mode!r}")
-    if header.get("auto_commit", "true") not in ("true", "false"):
-        raise ScenarioError("auto_commit must be true or false")
+    config_keys = [key for key in _CONFIG_KEYS if key in header]
     try:
-        lease = int(header.get("lock_lease_ms", "0"))
-    except ValueError:
-        raise ScenarioError("lock_lease_ms must be an integer") from None
-    if lease < 0:
-        raise ScenarioError("lock_lease_ms must be >= 0")
-    unknown = set(header) - {"format", "project", "developers", "mode", "auto_commit", "lock_lease_ms"}
+        config = KernelConfig(**{key: KernelConfig.parse_value(key, header[key]) for key in config_keys})
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
+    unknown = set(header) - {"format", "project", "developers", "mode", *_CONFIG_KEYS}
     if unknown:
         raise ScenarioError(f"unknown header keys: {', '.join(sorted(unknown))}")
+    return developers, config
 
 
 def load_scenario(path: str | Path) -> ScenarioScript:

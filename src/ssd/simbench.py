@@ -278,121 +278,6 @@ def run_scenario(script: ScenarioScript, mode: str | None = None, probe=None) ->
     return SimOutcome(script.name, mode, results, prevented)
 
 
-def compare(script: ScenarioScript) -> SimOutcome:
-    return run_scenario(script, "both")
-
-
-# ---------------------------------------------------------------------------
-# Bundled fixtures. The files under scenarios/ carry the same content; a test
-# pins them together so the on-disk copies cannot drift.
-
-GOLDEN_PROJECT = """\
-class Demo {
-    void Foo(int i) {
-    }
-}
-"""
-
-GOLDEN_SCRIPT = """\
-format: 1
-project: usecase.mj
-developers: alice bob
-mode: both
-auto_commit: false
-
-10 bob rename_method Demo.Foo new_name=Foo1
-20 bob add_param Demo.Foo1 type=in name=newParam
-30 alice rename_method Demo.Foo new_name=Foo2 expect=denied retry=until_granted attempts=5 backoff=40
-40 bob set_param_type Demo.Foo1.newParam type=int
-50 bob try_commit
-80 alice try_commit
-"""
-
-INEVITABLE_PROJECT = """\
-class Demo {
-    int someVar;
-
-    void m2() {
-        int otherVar = someVar;
-    }
-}
-"""
-
-INEVITABLE_SCRIPT = """\
-format: 1
-project: inevitable.mj
-developers: dev1 dev2
-mode: both
-auto_commit: false
-
-10 dev1 rename_field Demo.someVar new_name=newSomeVar
-20 dev2 replace_statement Demo.m2/body[0] text="int otherVar = someVar + 1;" expect=denied
-30 dev1 try_commit
-40 dev2 try_commit expect=error:empty-overlay
-"""
-
-OFFRECORD_PROJECT = """\
-class Demo {
-    int someVar;
-
-    void m2() {
-        int otherVar = someVar;
-    }
-}
-"""
-
-OFFRECORD_OFF_SCRIPT = """\
-format: 1
-project: offrecord.mj
-developers: carol dana
-mode: ssd
-auto_commit: false
-
-10 carol off_record
-20 carol replace_statement Demo.m2/body[0] text="int otherVar = someVar + 1;"
-30 dana rename_field Demo.someVar new_name=renamedVar
-40 dana try_commit
-50 carol on_record
-"""
-
-OFFRECORD_ON_SCRIPT = """\
-format: 1
-project: offrecord.mj
-developers: carol dana
-mode: ssd
-auto_commit: false
-
-10 carol replace_statement Demo.m2/body[0] text="int otherVar = someVar + 1;"
-30 dana rename_field Demo.someVar new_name=renamedVar expect=denied retry=until_granted attempts=5 backoff=30
-40 carol try_commit
-90 dana try_commit
-"""
-
-
-def golden_script() -> ScenarioScript:
-    return parse_scenario(GOLDEN_SCRIPT, name="usecase.ssd", project_text=GOLDEN_PROJECT)
-
-
-def inevitable_script() -> ScenarioScript:
-    return parse_scenario(INEVITABLE_SCRIPT, name="inevitable.ssd", project_text=INEVITABLE_PROJECT)
-
-
-def offrecord_scripts() -> tuple[ScenarioScript, ScenarioScript]:
-    off = parse_scenario(
-        OFFRECORD_OFF_SCRIPT, name="offrecord_off.ssd", project_text=OFFRECORD_PROJECT
-    )
-    on = parse_scenario(
-        OFFRECORD_ON_SCRIPT, name="offrecord_on.ssd", project_text=OFFRECORD_PROJECT
-    )
-    return off, on
-
-
-def run_inevitable_conflict_fixture() -> SimOutcome:
-    """Both models over the rename-vs-reference fixture: the baseline records
-    exactly one conflict on the statement, the kernel denies the edit."""
-    return run_scenario(inevitable_script(), "both")
-
-
 # ---------------------------------------------------------------------------
 # Generators
 

@@ -43,6 +43,8 @@ EVENT_KINDS = frozenset(
 ON_RECORD = "on_record"
 OFF_RECORD = "off_record"
 
+_BUILDABLE = semantics.BuildReport(semantics.BUILDABLE, [])
+
 
 class KernelError(Exception):
     """Request rejected before it produced any event."""
@@ -69,21 +71,30 @@ class KernelConfig:
             key, sep, value = (part.strip() for part in line.partition("="))
             if not sep or not key or not value:
                 raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-            if key == "auto_commit":
-                if value not in ("true", "false"):
-                    raise ValueError(f"line {lineno}: auto_commit must be true or false")
-                values[key] = value == "true"
-            elif key == "lock_lease_ms":
-                try:
-                    ms = int(value)
-                except ValueError:
-                    raise ValueError(f"line {lineno}: lock_lease_ms must be an integer") from None
-                if ms < 0:
-                    raise ValueError(f"line {lineno}: lock_lease_ms must be >= 0")
-                values[key] = ms
-            else:
-                raise ValueError(f"line {lineno}: unknown config key {key!r}")
+            try:
+                values[key] = KernelConfig.parse_value(key, value)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
         return KernelConfig(**values)
+
+    @staticmethod
+    def parse_value(key: str, value: str) -> bool | int:
+        """One setting from its text; ValueError on an unknown key or a bad
+        value. The one validation of config keys, for config files and
+        scenario headers alike."""
+        if key == "auto_commit":
+            if value not in ("true", "false"):
+                raise ValueError("auto_commit must be true or false")
+            return value == "true"
+        if key == "lock_lease_ms":
+            try:
+                ms = int(value)
+            except ValueError:
+                raise ValueError("lock_lease_ms must be an integer") from None
+            if ms < 0:
+                raise ValueError("lock_lease_ms must be >= 0")
+            return ms
+        raise ValueError(f"unknown config key {key!r}")
 
 
 @dataclass(frozen=True)
@@ -125,16 +136,18 @@ class _Overlay:
     On the record, `base` is the latest snapshot and `ops` the pending
     (locked, uncommitted) ops. Off the record, `base` is the snapshot the
     spell started from and `ops` the buffered ops. Either way `tree` equals
-    `replay_onto(deepcopy(base.tree), ops)` and `table` is that tree's
-    element table, rebuilt after every change to the tree."""
+    `replay_onto(deepcopy(base.tree), ops)`. `table`, `edges` and `report`
+    are derived from the tree by `Kernel._derive` after every change to it;
+    with no ops they are the base snapshot's edges and a buildable report."""
 
     dev: str
     base: Snapshot
     tree: ml.Unit
-    table: depcore.ElementTable
-    edges: set[tuple[int, int]]  # shared, see Snapshot
     ops: list[editops.EditOp] = field(default_factory=list)
     mode: str = ON_RECORD
+    table: depcore.ElementTable = field(init=False)
+    edges: set[tuple[int, int]] = field(init=False)  # shared, see Snapshot
+    report: semantics.BuildReport = field(init=False)
 
 
 @dataclass
@@ -143,7 +156,6 @@ class EditOutcome:
     op: editops.EditOp | None
     events: list[KernelEvent]
     report: semantics.BuildReport | None = None
-    committed_version: int | None = None
 
 
 @dataclass
@@ -243,26 +255,37 @@ class Kernel:
 
     # -- registration and views ----------------------------------------------
 
-    def _replayed(self, ops: list[editops.EditOp]) -> tuple[ml.Unit, depcore.ElementTable]:
-        """The current snapshot plus `ops`, on a fresh copy of its tree, and
-        the tree's element table. The only place the kernel copies a tree."""
-        tree = replay_onto(copy.deepcopy(self.snapshot.tree), ops)
-        return tree, depcore.build_element_table(tree)
+    def _replayed(self, ops: list[editops.EditOp]) -> ml.Unit:
+        """The current snapshot plus `ops`, on a fresh copy of its tree. The
+        only place the kernel copies a tree."""
+        return replay_onto(copy.deepcopy(self.snapshot.tree), ops)
+
+    def _derive(self, ov: _Overlay) -> None:
+        """Derive the view's element table, reference edges and build report
+        from its tree; the one place they are computed. A view with no ops
+        is its base snapshot, which passed the gate, so it takes the base's
+        edges and a buildable report without a gate."""
+        ov.table = depcore.build_element_table(ov.tree)
+        if ov.ops:
+            gate = semantics.build_gate(ov.tree)
+            ov.edges, ov.report = depcore.edges_of(gate.bindings), gate.report
+        else:
+            ov.edges, ov.report = ov.base.edges, _BUILDABLE
 
     def _resync(self, ov: _Overlay, ops: list[editops.EditOp]) -> None:
         """Rebase the view on the current snapshot with `ops` on top. Raises
         ApplyError, leaving the overlay untouched, when the ops no longer
-        apply. The view takes the snapshot's edges; a caller with ops
-        resolves or gates the new tree."""
-        ov.tree, ov.table = self._replayed(ops)
+        apply."""
+        ov.tree = self._replayed(ops)
         ov.base = self.snapshot
         ov.ops = ops
-        ov.edges = self.snapshot.edges
+        self._derive(ov)
 
     def register(self, dev: str) -> None:
         if dev in self.devs:
             raise KernelError("duplicate-developer", f"developer {dev!r} already registered")
-        self.devs[dev] = _Overlay(dev, self.snapshot, *self._replayed([]), self.snapshot.edges)
+        ov = self.devs[dev] = _Overlay(dev, self.snapshot, self._replayed([]))
+        self._derive(ov)
 
     def view_text(self, dev: str) -> str:
         return ml.print_unit(self._overlay(dev).tree)
@@ -281,13 +304,10 @@ class Kernel:
             return None
         return depcore.dependency_rule(a, b, index, table)
 
-    def _admission_conflicts(
-        self, dev: str, touched, table, index, first_only: bool = True
-    ) -> list[dict]:
+    def _admission_conflicts(self, dev: str, touched, table, index) -> list[dict]:
         """Dependencies between the touched set and other developers' locks,
         judged on the union of the views (see `_views`), in deterministic
-        order. Admission needs only the first; reconciliation reports them
-        all."""
+        order. A denial reports the first; reconciliation reports them all."""
         held = sorted((holder, eid) for eid, holder in self.lock_holder.items() if holder != dev)
         found: list[dict] = []
         for t in sorted(touched):
@@ -295,8 +315,6 @@ class Kernel:
                 rule = self._pair_rule(t, eid, index, table)
                 if rule is not None:
                     found.append({"holder": holder, "rule": rule, "pair": [t, eid]})
-                    if first_only:
-                        return found
         return found
 
     def _prepare(
@@ -320,8 +338,8 @@ class Kernel:
 
     def _apply(self, ov: _Overlay, op: editops.EditOp) -> None:
         editops.apply_op(ov.tree, op)
-        ov.table = depcore.build_element_table(ov.tree)
         ov.ops.append(op)
+        self._derive(ov)
 
     def check_admission(self, dev: str, request: editops.EditRequest) -> list[dict]:
         """Dry-run admission: resolve the request against the developer's
@@ -331,7 +349,7 @@ class Kernel:
         ov = self._on_record(dev, "coordinated edits refused")
         union, index = self._views()
         op = self._prepare(ov, request, union)
-        return self._admission_conflicts(dev, op.touched, union, index, first_only=False)
+        return self._admission_conflicts(dev, op.touched, union, index)
 
     def request_edit(self, dev: str, request: editops.EditRequest) -> EditOutcome:
         """Admission, locking, application, gate. Emits lock_denied or
@@ -371,26 +389,23 @@ class Kernel:
             self._emit("edit_applied", dev, kind=op.kind, target=op.target, op=op.to_record())
         )
         report = self._gate(ov, context="edit", events=events)
-        outcome = EditOutcome(True, op, events, report)
         if self.config.auto_commit and report.buildable:
-            commit = self.try_commit(dev)
-            events.extend(commit.events)
-            outcome.committed_version = commit.version
-        return outcome
+            events.extend(self.try_commit(dev).events)
+        return EditOutcome(True, op, events, report)
 
     def _gate(self, ov: _Overlay, context: str, events: list[KernelEvent]) -> semantics.BuildReport:
-        result = semantics.build_gate(ov.tree)
-        ov.edges = depcore.edges_of(result.bindings)
+        """Emit the view's build status from the report derived with its tree."""
+        report = ov.report
         events.append(
             self._emit(
                 "build_status",
                 ov.dev,
-                status=result.report.status,
+                status=report.status,
                 context=context,
-                errors=[e.to_record() for e in result.report.errors],
+                errors=[e.to_record() for e in report.errors],
             )
         )
-        return result.report
+        return report
 
     def buffer_edit(self, dev: str, request: editops.EditRequest) -> tuple[editops.EditOp, semantics.BuildReport]:
         """Off-the-record edit: no admission, no locks, no events. The op is
@@ -401,11 +416,10 @@ class Kernel:
             raise KernelError("not-off-record", f"{dev} is on the record; use request_edit")
         union, _index = self._views()
         op = self._prepare(ov, request, union)
+        # deliberately no events: the kernel keeps no public trace of
+        # off-record work, and admission does not see off-record views
         self._apply(ov, op)
-        # deliberately no edge-cache update and no events: the kernel keeps
-        # no public trace of off-record work
-        gate = semantics.build_gate(ov.tree)
-        return op, gate.report
+        return op, ov.report
 
     # -- commit and propagation ----------------------------------------------
 
@@ -421,8 +435,9 @@ class Kernel:
         # Rebuild the new snapshot by replaying the pending ops onto a copy of
         # the old one; the result must equal the overlay tree, element ids
         # included, so the overlay's edges are the snapshot's too.
-        new_tree, new_table = self._replayed(ov.ops)
-        if new_tree != ov.tree or new_table.order != ov.table.order:
+        new_tree = self._replayed(ov.ops)
+        new_table = depcore.build_element_table(new_tree)
+        if new_tree != ov.tree or list(new_table.elements) != list(ov.table.elements):
             raise AssertionError("replayed snapshot diverged from overlay")
         version = self.snapshot.version + 1
         self.snapshot = Snapshot(version, new_tree, ml.print_unit(new_tree), new_table, ov.edges)
@@ -465,9 +480,6 @@ class Kernel:
                     dropped_ops=dropped,
                 )
             )
-            return
-        if ov.ops:
-            ov.edges = depcore.ref_edges(ov.tree)
 
     def revert(self, dev: str, reason: str = "user") -> list[KernelEvent]:
         """Discard pending (or off-record buffered) work, release locks, and
@@ -529,7 +541,7 @@ class Kernel:
                 after = depcore.element_content(self.snapshot.table.info(eid).node)
                 if before != after:
                     changed.append({"element": eid, "change": "modified"})
-        blocked = self._admission_conflicts(dev, touched | created, *self._views(), first_only=False)
+        blocked = self._admission_conflicts(dev, touched | created, *self._views())
         replay_failure: str | None = None
         # with no commit during the spell the view already is base plus ops
         if not changed and not blocked and ov.base is not self.snapshot:

@@ -35,6 +35,7 @@ from ssd import minilang as ml
 from ssd import semantics
 from ssd import simbench
 from ssd.editops import EditRequest
+from ssd.scenario import load_scenario
 from ssd.synckernel import Kernel, KernelConfig, OFF_RECORD
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,7 +46,7 @@ SWEEP_DIGESTS = ROOT / "tests" / "golden" / "sweep" / "digests.txt"
 
 def test_criterion_01_walkthrough_denies_the_conflicting_rename():
     started = time.perf_counter()
-    outcome = simbench.compare(simbench.golden_script())
+    outcome = simbench.run_scenario(load_scenario(SCENARIOS / "usecase.ssd"), "both")
     elapsed = time.perf_counter() - started
 
     kernel_events = outcome.results["ssd"].engine.events
@@ -70,7 +71,7 @@ def test_criterion_01_walkthrough_denies_the_conflicting_rename():
 
 def test_criterion_02_inevitable_conflict_caught_at_edit_time():
     started = time.perf_counter()
-    outcome = simbench.run_inevitable_conflict_fixture()
+    outcome = simbench.run_scenario(load_scenario(SCENARIOS / "inevitable.ssd"), "both")
     elapsed = time.perf_counter() - started
 
     conflicts = [
@@ -192,9 +193,12 @@ def test_sweep_traces_and_reports_match_the_pinned_digests(seeded_sweep):
 
 
 def test_criterion_07_simulation_runs_are_reproducible():
-    for script_maker in (simbench.golden_script, lambda: simbench.generate_scenario(7)):
-        first = simbench.compare(script_maker())
-        second = simbench.compare(script_maker())
+    for script_maker in (
+        lambda: load_scenario(SCENARIOS / "usecase.ssd"),
+        lambda: simbench.generate_scenario(7),
+    ):
+        first = simbench.run_scenario(script_maker(), "both")
+        second = simbench.run_scenario(script_maker(), "both")
         assert first.trace_lines == second.trace_lines
         assert first.report_lines() == second.report_lines()
 
@@ -272,16 +276,14 @@ def test_criterion_09_socket_sessions_match_the_in_process_log(tmp_path):
         serve.wait(timeout=10)
 
     session_records = [json.loads(line) for line in log_path.read_text().splitlines()]
-    outcome = simbench.run_scenario(simbench.golden_script(), "ssd")
+    outcome = simbench.run_scenario(load_scenario(SCENARIOS / "usecase.ssd"), "ssd")
     local_records = [e.to_record() for e in outcome.results["ssd"].engine.events]
     assert session_records == local_records  # record-for-record
     assert log_path.read_text() == GOLDEN_LOG.read_text()
 
 
 def test_criterion_10_off_record_work_is_invisible_until_reconciled():
-    off, on = simbench.offrecord_scripts()
-
-    outcome = simbench.run_scenario(off)
+    outcome = simbench.run_scenario(load_scenario(SCENARIOS / "offrecord_off.ssd"))
     metrics = outcome.results["ssd"].metrics
     kernel = outcome.results["ssd"].engine
     assert metrics.reconcile_conflicts == 1  # drift surfaced at reconciliation
@@ -289,7 +291,7 @@ def test_criterion_10_off_record_work_is_invisible_until_reconciled():
     assert kernel.devs["carol"].mode == OFF_RECORD
     assert "someVar + 1" not in outcome.results["ssd"].final_text
 
-    outcome = simbench.run_scenario(on)
+    outcome = simbench.run_scenario(load_scenario(SCENARIOS / "offrecord_on.ssd"))
     metrics = outcome.results["ssd"].metrics
     assert metrics.reconcile_conflicts == 0
     assert metrics.conflicts == 0

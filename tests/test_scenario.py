@@ -6,8 +6,8 @@ import pytest
 
 from ssd import editops
 from ssd import scenario
-from ssd import simbench
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 HEADER = """\
 format: 1
@@ -21,7 +21,7 @@ def parse(body: str, header: str = HEADER) -> scenario.ScenarioScript:
 
 
 def test_parses_the_shipped_walkthrough_script():
-    script = scenario.parse_scenario(simbench.GOLDEN_SCRIPT, name="usecase.ssd")
+    script = scenario.load_scenario(SCENARIOS / "usecase.ssd")
     assert script.name == "usecase.ssd"
     assert script.project == "usecase.mj"
     assert script.developers == ["alice", "bob"]
@@ -156,6 +156,7 @@ def test_rejected_headers(header, message):
         ("10 alice rename_method Demo.Foo new_name=x attempts=0", "attempts must be >= 1"),
         ("10 alice rename_method Demo.Foo new_name=x backoff=-1", "backoff >= 0"),
         ('10 alice insert_statement A.m/body text="int x', "quotation"),
+        ('10 alice insert_statement Demo.Foo/body text="int x = 1;" at=abc', "at= must be an integer"),
     ],
 )
 def test_rejected_actions(line, message):
@@ -191,9 +192,8 @@ def test_load_scenario_requires_a_project_header(tmp_path):
 
 
 def test_shipped_scenario_files_load():
-    root = Path(__file__).resolve().parent.parent / "scenarios"
     for name in ("usecase.ssd", "inevitable.ssd", "offrecord_off.ssd", "offrecord_on.ssd"):
-        script = scenario.load_scenario(root / name)
+        script = scenario.load_scenario(SCENARIOS / name)
         assert script.actions, name
         assert script.project_text, name
 

@@ -1,4 +1,4 @@
-"""Simulation harness: bundled fixtures, determinism, generated scenarios."""
+"""Simulation harness: the shipped scenarios, determinism, generated scenarios."""
 
 import json
 from pathlib import Path
@@ -8,15 +8,21 @@ import pytest
 from ssd import depcore
 from ssd import minilang as ml
 from ssd import simbench
+from ssd.scenario import load_scenario
 from ssd.synckernel import OFF_RECORD
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+USECASE_PROJECT = (SCENARIO_DIR / "usecase.mj").read_text()
 
 MERGED_WALKTHROUGH = "class Demo {\n    void Foo2(int i, int newParam) {\n    }\n}\n"
 
 
+def shipped(name):
+    return load_scenario(SCENARIO_DIR / name)
+
+
 def test_walkthrough_outcome():
-    outcome = simbench.compare(simbench.golden_script())
+    outcome = simbench.run_scenario(shipped("usecase.ssd"), "both")
     ssd = outcome.results["ssd"].metrics
     base = outcome.results["baseline"].metrics
     assert (ssd.commits, ssd.lock_denials, ssd.conflicts) == (2, 1, 0)
@@ -29,7 +35,7 @@ def test_walkthrough_outcome():
 
 
 def test_trace_lines_are_json_records():
-    outcome = simbench.compare(simbench.golden_script())
+    outcome = simbench.run_scenario(shipped("usecase.ssd"), "both")
     models = []
     for line in outcome.trace_lines:
         record = json.loads(line)
@@ -42,7 +48,7 @@ def test_trace_lines_are_json_records():
 
 
 def test_inevitable_conflict_fixture():
-    outcome = simbench.run_inevitable_conflict_fixture()
+    outcome = simbench.run_scenario(shipped("inevitable.ssd"), "both")
     ssd = outcome.results["ssd"].metrics
     base = outcome.results["baseline"].metrics
     assert (ssd.conflicts, ssd.lock_denials, ssd.commits) == (0, 1, 1)
@@ -61,8 +67,7 @@ def test_inevitable_conflict_fixture():
 
 
 def test_off_record_fixture_reconciles_with_conflict():
-    off, _ = simbench.offrecord_scripts()
-    outcome = simbench.run_scenario(off)
+    outcome = simbench.run_scenario(shipped("offrecord_off.ssd"))
     assert outcome.mode == "ssd"
     assert set(outcome.results) == {"ssd"}
     metrics = outcome.results["ssd"].metrics
@@ -77,8 +82,7 @@ def test_off_record_fixture_reconciles_with_conflict():
 
 
 def test_on_record_fixture_blocks_instead():
-    _, on = simbench.offrecord_scripts()
-    outcome = simbench.run_scenario(on)
+    outcome = simbench.run_scenario(shipped("offrecord_on.ssd"))
     metrics = outcome.results["ssd"].metrics
     assert (metrics.lock_denials, metrics.conflicts, metrics.commits) == (1, 0, 2)
     assert metrics.total_blocked_virtual_ms == 30
@@ -87,32 +91,16 @@ def test_on_record_fixture_blocks_instead():
     assert "int otherVar = renamedVar + 1;" in final
 
 
-@pytest.mark.parametrize(
-    "file_name, constant",
-    [
-        ("usecase.mj", simbench.GOLDEN_PROJECT),
-        ("usecase.ssd", simbench.GOLDEN_SCRIPT),
-        ("inevitable.mj", simbench.INEVITABLE_PROJECT),
-        ("inevitable.ssd", simbench.INEVITABLE_SCRIPT),
-        ("offrecord.mj", simbench.OFFRECORD_PROJECT),
-        ("offrecord_off.ssd", simbench.OFFRECORD_OFF_SCRIPT),
-        ("offrecord_on.ssd", simbench.OFFRECORD_ON_SCRIPT),
-    ],
-)
-def test_shipped_scenario_files_match_bundled_fixtures(file_name, constant):
-    assert (SCENARIO_DIR / file_name).read_text() == constant
-
-
 def test_repeat_runs_are_byte_identical():
-    first = simbench.compare(simbench.golden_script())
-    second = simbench.compare(simbench.golden_script())
+    first = simbench.run_scenario(shipped("usecase.ssd"), "both")
+    second = simbench.run_scenario(shipped("usecase.ssd"), "both")
     assert first.trace_lines == second.trace_lines
     assert first.report_lines() == second.report_lines()
 
 
 def test_generated_runs_are_byte_identical():
-    first = simbench.compare(simbench.generate_scenario(7))
-    second = simbench.compare(simbench.generate_scenario(7))
+    first = simbench.run_scenario(simbench.generate_scenario(7), "both")
+    second = simbench.run_scenario(simbench.generate_scenario(7), "both")
     assert first.trace_lines == second.trace_lines
     assert first.report_lines() == second.report_lines()
 
@@ -142,7 +130,7 @@ def test_generator_is_deterministic_per_seed():
 
 def test_probe_sees_the_kernel_after_every_step():
     seen = []
-    outcome = simbench.run_scenario(simbench.golden_script(), "ssd", probe=seen.append)
+    outcome = simbench.run_scenario(shipped("usecase.ssd"), "ssd", probe=seen.append)
     kernel = outcome.results["ssd"].engine
     # six scripted actions plus alice's one retry
     assert len(seen) == 7
@@ -150,7 +138,7 @@ def test_probe_sees_the_kernel_after_every_step():
 
 
 def test_report_lines_format():
-    outcome = simbench.compare(simbench.golden_script())
+    outcome = simbench.run_scenario(shipped("usecase.ssd"), "both")
     lines = outcome.report_lines()
     assert lines[0] == "scenario=usecase.ssd"
     assert lines[1] == "mode=both"
@@ -170,23 +158,23 @@ def test_metric_lines_are_sorted_and_stable():
 
 
 def test_table_renders_both_columns():
-    outcome = simbench.compare(simbench.golden_script())
+    outcome = simbench.run_scenario(shipped("usecase.ssd"), "both")
     table = outcome.table()
     rows = table.splitlines()
     assert rows[0].split() == ["metric", "ssd", "baseline"]
     assert len(rows) == 1 + len(simbench.Metrics._KEYS) + 1
     assert rows[-1].split() == ["conflicts_prevented", "1"]
-    ssd_only = simbench.run_scenario(simbench.golden_script(), "ssd").table()
+    ssd_only = simbench.run_scenario(shipped("usecase.ssd"), "ssd").table()
     assert "-" in ssd_only  # missing model renders as a dash
 
 
 def test_mode_override_and_validation():
-    outcome = simbench.run_scenario(simbench.golden_script(), "ssd")
+    outcome = simbench.run_scenario(shipped("usecase.ssd"), "ssd")
     assert set(outcome.results) == {"ssd"}
     assert outcome.conflicts_prevented is None
     assert "conflicts_prevented" not in "\n".join(outcome.report_lines())
     with pytest.raises(ValueError, match="unknown mode"):
-        simbench.run_scenario(simbench.golden_script(), "fast")
+        simbench.run_scenario(shipped("usecase.ssd"), "fast")
 
 
 EXPECT_DENIED_BUT_GRANTED = """\
@@ -202,7 +190,7 @@ auto_commit: false
 
 def test_violated_expectation_aborts_the_run():
     script = simbench.parse_scenario(
-        EXPECT_DENIED_BUT_GRANTED, name="bad.ssd", project_text=simbench.GOLDEN_PROJECT
+        EXPECT_DENIED_BUT_GRANTED, name="bad.ssd", project_text=USECASE_PROJECT
     )
     with pytest.raises(simbench.ScenarioAssertionError, match="expected"):
         simbench.run_scenario(script, "ssd")
@@ -210,7 +198,7 @@ def test_violated_expectation_aborts_the_run():
 
 def test_baseline_run_ignores_expectations():
     script = simbench.parse_scenario(
-        EXPECT_DENIED_BUT_GRANTED, name="bad.ssd", project_text=simbench.GOLDEN_PROJECT
+        EXPECT_DENIED_BUT_GRANTED, name="bad.ssd", project_text=USECASE_PROJECT
     )
     outcome = simbench.run_scenario(script, "baseline")
     assert outcome.results["baseline"].metrics.conflicts == 0
@@ -222,7 +210,7 @@ def test_expectations_are_rejected_while_off_record():
         "10 solo off_record\n"
         "20 solo rename_method Demo.Foo new_name=Bar expect=denied\n"
     )
-    script = simbench.parse_scenario(text, name="off.ssd", project_text=simbench.GOLDEN_PROJECT)
+    script = simbench.parse_scenario(text, name="off.ssd", project_text=USECASE_PROJECT)
     with pytest.raises(simbench.ScenarioAssertionError):
         simbench.run_scenario(script, "ssd")
 

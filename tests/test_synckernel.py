@@ -246,17 +246,57 @@ def test_commit_with_empty_overlay_is_refused():
 
 def test_auto_commit_publishes_each_buildable_state():
     kernel = make(auto_commit=True)
-    r = kernel.request_edit("bob", EditRequest("rename_method", "Demo.Foo", {"new_name": "Foo1"}))
-    assert r.committed_version == 2
+    kernel.request_edit("bob", EditRequest("rename_method", "Demo.Foo", {"new_name": "Foo1"}))
+    assert kernel.snapshot.version == 2
     assert "Foo1" in kernel.snapshot.text
     assert kernel.locks_of("bob") == set()
     # an unbuildable edit stays local under auto-commit
     r2 = kernel.request_edit("bob", EditRequest("add_param", "Demo.Foo1", {"type": "in", "name": "p"}))
-    assert r2.committed_version is None
+    assert "committed" not in [e.kind for e in r2.events]
     assert kernel.snapshot.version == 2
     r3 = kernel.request_edit("bob", EditRequest("set_param_type", "Demo.Foo1.p", {"type": "int"}))
-    assert r3.committed_version == 3
+    assert [e.details["version"] for e in r3.events if e.kind == "committed"] == [3]
     assert "int p" in kernel.snapshot.text
+
+
+def test_commit_resolves_only_the_rebased_views_with_ops(monkeypatch):
+    # the committer's tree is unchanged since its last gate and carol has no
+    # ops, so bob's rebased view is the only tree to resolve
+    kernel = make(SHARED, devs=("alice", "bob", "carol"))
+    for text in ("int a = 1;", "int b = 2;"):
+        kernel.request_edit("alice", EditRequest("insert_statement", "Demo.m1/body", {"text": text}))
+    kernel.request_edit(
+        "bob", EditRequest("replace_statement", "Demo.m2/body[0]", {"text": "int otherVar = someVar + 1;"})
+    )
+    resolved = []
+    resolve = semantics.resolve
+    monkeypatch.setattr(semantics, "resolve", lambda unit: resolved.append(unit) or resolve(unit))
+    assert kernel.try_commit("alice").ok
+    assert resolved == [kernel.devs["bob"].tree]
+
+
+def test_descendants_in_a_union_reach_what_another_view_nested():
+    def fixpoint(table, eid):
+        out = {eid}
+        changed = True
+        while changed:
+            changed = False
+            for info in table.elements.values():
+                if info.eid not in out and info.parent in out:
+                    out.add(info.eid)
+                    changed = True
+        return out
+
+    kernel = make(SHARED, devs=("alice", "bob", "carol"))
+    nested = "while (true) { if (true) { int a = 1; } else { while (false) { int b = 2; } } }"
+    granted = kernel.request_edit("bob", EditRequest("insert_statement", "Demo.m1/body", {"text": nested}))
+    assert len(granted.op.created) == 5
+    kernel.request_edit("carol", EditRequest("insert_statement", "Demo.m2/body", {"text": "int c = 3;", "at": 0}))
+    union, _index = kernel._views()
+    m1 = kernel.snapshot.table.resolve_qname("Demo.m1")
+    assert union.descendants(m1) == {m1, *granted.op.created}
+    for eid in union.elements:
+        assert union.descendants(eid) == fixpoint(union, eid), eid
 
 
 def test_commit_rebases_other_overlays():
@@ -721,20 +761,23 @@ class KernelMachine(RuleBasedStateMachine):
 
     @invariant()
     def derived_state_matches_a_rebuild_from_the_trees(self):
-        # edges come from the gate and tables from the last apply; both must
-        # equal what a from-scratch pass over the same tree yields
+        # tables, edges and reports are derived when a tree changes; each
+        # must equal what a from-scratch pass over the same tree yields
         if not hasattr(self, "kernel"):
             return
         snap = self.kernel.snapshot
         assert snap.edges == depcore.ref_edges(snap.tree)
         assert snap.text == ml.print_unit(snap.tree)
         for dev, ov in sorted(self.kernel.devs.items()):
-            if ov.mode != ON_RECORD:
-                continue
+            # off-record views too: their edges are invisible, not stale
             assert ov.edges == depcore.ref_edges(ov.tree), dev
+            if ov.ops:
+                assert ov.report == semantics.build_gate(ov.tree).report, dev
+            else:
+                assert ov.report.buildable, dev
             rebuilt = depcore.build_element_table(ov.tree)
-            assert [(e, ov.table.qname(e)) for e in ov.table.order] == [
-                (e, rebuilt.qname(e)) for e in rebuilt.order
+            assert [(e, ov.table.qname(e)) for e in ov.table.elements] == [
+                (e, rebuilt.qname(e)) for e in rebuilt.elements
             ], dev
 
     @invariant()
@@ -744,7 +787,7 @@ class KernelMachine(RuleBasedStateMachine):
         for dev, ov in sorted(self.kernel.devs.items()):
             tree = replay_onto(copy.deepcopy(ov.base.tree), ov.ops)
             assert tree == ov.tree, dev
-            assert depcore.build_element_table(tree).order == ov.table.order, dev
+            assert list(depcore.build_element_table(tree).elements) == list(ov.table.elements), dev
             if ov.mode == ON_RECORD:
                 assert ov.base is self.kernel.snapshot, dev
 
