@@ -56,7 +56,7 @@ class _WorkingCopy:
     dev: str
     base_version: int
     base_tree: ml.Unit  # a central tree, shared and only ever read
-    tree: ml.Unit
+    tree: ml.Unit  # its own root; below it, shares what its edits leave alone
     table: depcore.ElementTable
 
 
@@ -279,7 +279,7 @@ class BaselineRepo:
     def register(self, dev: str) -> None:
         if dev in self.devs:
             raise ValueError(f"developer {dev!r} already registered")
-        work = copy.deepcopy(self.central)
+        work = copy.copy(self.central)
         self.devs[dev] = _WorkingCopy(
             dev, self.version, self.central, work, depcore.build_element_table(work)
         )
@@ -295,16 +295,19 @@ class BaselineRepo:
         admission, no locks; raises OpError for requests that do not resolve
         against this copy."""
         wc = self._copy(dev)
-        op = editops.prepare(wc.tree, wc.table, request, self.alloc)
+        # a working copy keeps no edges: only a rename reads them, so only a
+        # rename resolves its tree
+        edges = depcore.ref_edges(wc.tree) if request.kind in editops.RENAMES else set()
+        op = editops.prepare(edges, wc.table, request, self.alloc)
         editops.apply_op(wc.tree, op)
-        wc.table = depcore.build_element_table(wc.tree)
+        wc.table = depcore.build_element_table(wc.tree, wc.table)
         return op
 
     def revert(self, dev: str) -> None:
         """Discard the working copy's uncommitted edits, back to its base."""
         wc = self._copy(dev)
-        wc.tree = copy.deepcopy(wc.base_tree)
-        wc.table = depcore.build_element_table(wc.tree)
+        wc.tree = copy.copy(wc.base_tree)
+        wc.table = depcore.build_element_table(wc.tree, wc.table)
 
     def view_text(self, dev: str) -> str:
         return ml.print_unit(self._copy(dev).tree)
@@ -318,7 +321,7 @@ class BaselineRepo:
         wc = self._copy(dev)
         self.checkins += 1
         if wc.base_version == self.version:
-            merged_tree = wc.tree  # adopted: the working copy gets a fresh copy below
+            merged_tree = wc.tree  # adopted: the working copy gets a root of its own below
             conflicts: list[Conflict] = []
             merged = False
         else:
@@ -331,6 +334,6 @@ class BaselineRepo:
             self.central = merged_tree
         wc.base_version = self.version
         wc.base_tree = self.central
-        wc.tree = copy.deepcopy(self.central)
-        wc.table = depcore.build_element_table(wc.tree)
+        wc.tree = copy.copy(self.central)
+        wc.table = depcore.build_element_table(wc.tree, wc.table)
         return CheckinResult(dev, self.version, changed, merged, conflicts, self.central_text())

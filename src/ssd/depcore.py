@@ -97,6 +97,10 @@ def child_slots(node) -> list[tuple[str, list]]:
     return []
 
 
+# The attribute holding a child slot, where its name differs from the slot's.
+SLOT_ATTRS = {"then": "then_body", "else": "else_body"}
+
+
 def element_content(node) -> tuple:
     """The element's own content, child elements excluded. Used for three-way
     comparison in the baseline merge and for off-record reconciliation."""
@@ -175,16 +179,30 @@ class ElementTable:
         return out
 
 
-def build_element_table(unit: ml.Unit) -> ElementTable:
-    """Index an annotated tree. Raises ValueError on a node without an id."""
+def build_element_table(unit: ml.Unit, prior: ElementTable | None = None) -> ElementTable:
+    """Index an annotated tree. Raises ValueError on a node without an id.
+
+    `prior` is the table of a tree that shares nodes with `unit`. Its record
+    of an element is reused when it names the same node at the same place,
+    since records are never mutated; the result equals a table built
+    without it, but allocates a record only per changed element."""
     table = ElementTable()
+    reusable = prior.elements if prior is not None else {}
 
     def add(node, kind: str, parent: int | None, qname: str, method: int | None) -> int:
-        if node.eid is None:
+        eid = node.eid
+        if eid is None:
             raise ValueError(f"element without id: {qname}")
-        table.elements[node.eid] = ElementInfo(node.eid, kind, parent, qname, node, method)
-        table.by_qname.setdefault(qname, node.eid)
-        return node.eid
+        info = reusable.get(eid)
+        if (
+            info is None
+            or info.node is not node
+            or (info.qname, info.parent, info.method) != (qname, parent, method)
+        ):
+            info = ElementInfo(eid, kind, parent, qname, node, method)
+        table.elements[eid] = info
+        table.by_qname.setdefault(qname, eid)
+        return eid
 
     def add_stmts(body: list[ml.Stmt], parent_eid: int, prefix: str, method: int) -> None:
         for i, stmt in enumerate(body):

@@ -7,6 +7,12 @@ deterministically to any tree in which its element ids exist. Created
 elements receive their ids at preparation time and reuse them on every
 (re)application, so replaying a pending list onto a base always reproduces
 the same materialized tree.
+
+Trees are persistent values. Applying an op changes only the root `Unit` it
+is given; below the root it replaces each node and child list on the path to
+a changed node with a fresh shallow copy (path copying). Every node another
+tree can reach is left as it was, so trees share whatever an edit does not
+touch.
 """
 
 from __future__ import annotations
@@ -42,8 +48,21 @@ EDIT_KINDS = frozenset(
     ]
 )
 
+RENAMES = frozenset(["rename_class", "rename_field", "rename_method", "rename_param"])
+
 # statement-list containers addressable as QNAME/slot
 _CONTAINER_SLOTS = {"body", "then", "else"}
+
+# the expressions an element holds itself, outside its child elements
+_EXPR_ATTRS = {
+    ml.FieldDecl: ("init",),
+    ml.VarDeclStmt: ("init",),
+    ml.AssignStmt: ("target", "value"),
+    ml.ReturnStmt: ("value",),
+    ml.ExprStmt: ("expr",),
+    ml.IfStmt: ("cond",),
+    ml.WhileStmt: ("cond",),
+}
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -176,16 +195,6 @@ def _statements(node, slot: str, qname: Callable[[], str]) -> list:
     raise OpError("malformed-op", f"'{qname()}' has no statement slot '{slot}'")
 
 
-def _cascade_owners(tree: ml.Unit, target_eid: int) -> set[int]:
-    """Elements containing a reference that resolves to target_eid."""
-    result = semantics.resolve(tree)
-    return {
-        site.owner
-        for site in result.table.sites
-        if site.target == target_eid and site.owner is not None
-    }
-
-
 _EXPECTED_TARGET_KIND = {
     "rename_class": depcore.CLASS,
     "delete_class": depcore.CLASS,
@@ -207,14 +216,16 @@ _EXPECTED_TARGET_KIND = {
 
 
 def prepare(
-    tree: ml.Unit,
+    edges: set[tuple[int, int]],
     table: depcore.ElementTable,
     request: EditRequest,
     alloc: depcore.IdAllocator,
     descendants: Callable[[int], set[int]] | None = None,
 ) -> EditOp:
     """Validate a request against a view, allocate ids for created elements,
-    and compute the touched set.
+    and compute the touched set. `edges` are the view's reference edges
+    (`depcore.ref_edges` of its tree); only a rename reads them, for the
+    elements its cascade rewrites.
 
     `descendants` widens subtree computation for destructive ops beyond this
     view (the kernel passes a union over all developer views so a delete also
@@ -264,9 +275,9 @@ def prepare(
             "malformed-op", f"{kind} target must be a {expected}, got {info.kind}"
         )
 
-    if kind in ("rename_class", "rename_field", "rename_method", "rename_param"):
+    if kind in RENAMES:
         new_name = _check_name(args.get("new_name"), "name")
-        touched = {target} | _cascade_owners(tree, target)
+        touched = {target} | {owner for owner, decl in edges if decl == target}
         return EditOp(kind, target, {"new_name": new_name}, tuple(sorted(touched)), ())
 
     if kind == "add_field":
@@ -346,12 +357,62 @@ class ApplyError(Exception):
         self.code = code
 
 
-def _find(tree: ml.Unit, eid: int) -> tuple[list, int]:
-    """Container list and index of an element, found by walking the tree."""
-    for node, seq, i in depcore.walk(tree):
-        if node.eid == eid:
-            return seq, i
-    raise ApplyError("unknown-element", f"element {eid} not in this view")
+def _path(node, eid: int) -> list[tuple[str, int]] | None:
+    """The (child slot, index) steps from `node` down to element `eid`,
+    deepest first; None when `eid` is not below `node`."""
+    for slot, seq in depcore.child_slots(node):
+        for i, child in enumerate(seq):
+            if child.eid == eid:
+                return [(slot, i)]
+            below = _path(child, eid)
+            if below is not None:
+                below.append((slot, i))
+                return below
+    return None
+
+
+def _steps(tree: ml.Unit, eid: int) -> list[tuple[str, int]]:
+    """The steps from the root down to element `eid`, root first."""
+    steps = _path(tree, eid)
+    if steps is None:
+        raise ApplyError("unknown-element", f"element {eid} not in this view")
+    steps.reverse()
+    return steps
+
+
+def _fresh_list(node, slot: str) -> list:
+    """Give `node` its own copy of its child list `slot`, and return it."""
+    attr = depcore.SLOT_ATTRS.get(slot, slot)
+    seq = list(getattr(node, attr))
+    setattr(node, attr, seq)
+    return seq
+
+
+def _copy(node):
+    """A shallow copy of an AST node. The nodes are plain dataclasses, so
+    this does what `copy.copy` does at a quarter of its cost, which a path
+    copy pays per node."""
+    fresh = object.__new__(type(node))
+    fresh.__dict__.update(node.__dict__)
+    return fresh
+
+
+def _own(seq: list, i: int):
+    """Replace `seq[i]` with a fresh shallow copy, and return the copy."""
+    node = seq[i] = _copy(seq[i])
+    return node
+
+
+def _copy_path(tree: ml.Unit, eid: int) -> tuple[list, int]:
+    """Path-copy down to element `eid`: each node between the root and it,
+    and each child list on the way, becomes a fresh shallow copy. Returns
+    the element's container list, fresh, and its index there; the element
+    itself is still shared."""
+    *above, (slot, i) = _steps(tree, eid)
+    node = tree
+    for step, j in above:
+        node = _own(_fresh_list(node, step), j)
+    return _fresh_list(node, slot), i
 
 
 def _stamp(stmt: ml.Stmt, ids: list[int]) -> None:
@@ -359,60 +420,124 @@ def _stamp(stmt: ml.Stmt, ids: list[int]) -> None:
         node.eid = ids.pop(0)
 
 
+def _renamed_expr(expr, new_name: str, own: dict[int, str]):
+    """`expr` itself when it holds none of the sites in `own` (node id ->
+    attribute holding the name); otherwise a fresh copy with those sites
+    renamed, path-copied down to each. Each site renamed leaves `own`."""
+    if not own:
+        return expr
+    if isinstance(expr, ml.Binary):
+        left = _renamed_expr(expr.left, new_name, own)
+        right = _renamed_expr(expr.right, new_name, own)
+        if left is expr.left and right is expr.right:
+            return expr
+        fresh = _copy(expr)
+        fresh.left, fresh.right = left, right
+        return fresh
+    attr = own.pop(id(expr), None)
+    args = None
+    for i, arg in enumerate(expr.args if isinstance(expr, ml.Call) else ()):
+        new = _renamed_expr(arg, new_name, own)
+        if new is not arg:
+            if args is None:
+                args = list(expr.args)
+            args[i] = new
+    if attr is None and args is None:
+        return expr
+    fresh = _copy(expr)
+    if attr is not None:
+        setattr(fresh, attr, new_name)
+    if args is not None:
+        fresh.args = args
+    return fresh
+
+
+def _renamed(node, target: int, new_name: str, sites: dict[int, dict[int, str]]):
+    """`node` itself when neither it nor any element below it is the target
+    or owns one of its reference sites (`sites`: owner element -> node id ->
+    attribute); otherwise a fresh copy carrying the new name, with the same
+    done below. Each site renamed leaves `sites`. Only an owner's own
+    expressions are descended into."""
+    fresh = None
+    for slot, seq in depcore.child_slots(node):
+        renamed = None
+        for i, child in enumerate(seq):
+            new = _renamed(child, target, new_name, sites)
+            if new is not child:
+                if renamed is None:
+                    renamed = list(seq)
+                renamed[i] = new
+        if renamed is not None:
+            if fresh is None:
+                fresh = _copy(node)
+            setattr(fresh, depcore.SLOT_ATTRS.get(slot, slot), renamed)
+    own = sites.get(node.eid)
+    if not own and node.eid != target:
+        return node if fresh is None else fresh
+    if fresh is None:
+        fresh = _copy(node)
+    if node.eid == target:
+        fresh.name = new_name
+    if own:
+        attr = own.pop(id(node), None)  # a type reference the element holds
+        if attr is not None:
+            setattr(fresh, attr, new_name)
+        for attr in _EXPR_ATTRS.get(type(node), ()):
+            expr = getattr(node, attr)
+            if expr is not None:
+                setattr(fresh, attr, _renamed_expr(expr, new_name, own))
+    return fresh
+
+
+def _rename(tree: ml.Unit, op: EditOp) -> None:
+    """Rename the target and rewrite every reference site of it. Field,
+    method and parameter names are visible only inside their own class
+    (`semantics._Walker`), so only a class rename looks beyond the
+    target's class. A site left unreached is an error: no node is ever
+    renamed in place."""
+    class_index = _steps(tree, op.target)[0][1]
+    sites: dict[int, dict[int, str]] = {}
+    for site in semantics.resolve(tree).table.sites:
+        if site.target == op.target:
+            sites.setdefault(site.owner, {})[id(site.node)] = site.attr
+    new_name = op.args["new_name"]
+    classes = tree.classes = list(tree.classes)
+    for c in range(len(classes)) if op.kind == "rename_class" else [class_index]:
+        classes[c] = _renamed(classes[c], op.target, new_name, sites)
+    unreached = [owner for owner, own in sites.items() if own]
+    if unreached:
+        raise AssertionError(f"rename of element {op.target} left sites unreached in {unreached}")
+
+
 def apply_op(tree: ml.Unit, op: EditOp) -> None:
-    """Apply one prepared op to `tree` in place. The op finds its target by
-    walking `tree` and changes only nodes of `tree`; it reads no element
-    table, so a caller builds one when it needs it. Deterministic: same tree
-    and op always produce the same result, including created element ids."""
+    """Apply one prepared op to `tree`. It changes only the root `tree`
+    itself plus fresh copies: each node it changes, and each node and child
+    list on the path down to one, is replaced by a shallow copy, so no node
+    that another tree can reach ever changes. The op finds its target by
+    walking `tree` and reads no element table, so a caller builds one when
+    it needs it. Deterministic: same tree and op always produce the same
+    result, including created element ids."""
     kind = op.kind
     if kind == "create_class":
-        tree.classes.append(ml.ClassDecl(op.args["name"], [], eid=op.created[0]))
+        tree.classes = tree.classes + [ml.ClassDecl(op.args["name"], [], eid=op.created[0])]
         return
-
-    seq, i = _find(tree, op.target)
-    node = seq[i]
-    if kind in ("rename_class", "rename_field", "rename_method", "rename_param"):
-        new_name = op.args["new_name"]
-        # cascade: rewrite every reference site of this declaration
-        result = semantics.resolve(tree)
-        for site in result.table.sites:
-            if site.target == op.target:
-                setattr(site.node, site.attr, new_name)
-        node.name = new_name
+    if kind in RENAMES:
+        _rename(tree, op)
         return
+    seq, i = _copy_path(tree, op.target)
     if kind in ("delete_class", "delete_method", "remove_param", "delete_statement"):
         del seq[i]
         return
-    if kind == "add_field":
-        init = _parse_expr_text(op.args["init"]) if "init" in op.args else None
-        node.members.append(
-            ml.FieldDecl(op.args["type"], op.args["name"], init, eid=op.created[0])
-        )
-        return
-    if kind == "add_method":
-        node.members.append(
-            ml.MethodDecl(op.args["ret"], op.args["name"], [], [], eid=op.created[0])
-        )
-        return
-    if kind in ("set_field_type", "set_param_type"):
-        node.type_name = op.args["type"]
-        return
-    if kind == "set_field_init":
-        node.init = _parse_expr_text(op.args["init"]) if "init" in op.args else None
-        return
-    if kind == "set_return_type":
-        node.ret_type = op.args["ret"]
-        return
-    if kind == "add_param":
-        node.params.insert(
-            op.args["at"], ml.Param(op.args["type"], op.args["name"], eid=op.created[0])
-        )
+    if kind == "replace_statement":
+        parsed = _parse_stmt_text(op.args["text"])
+        _stamp(parsed, [op.target] + list(op.created))
+        seq[i] = parsed
         return
     if kind == "insert_statement":
         # only the error names the owner, so only the error builds a table
         try:
             stmts = _statements(
-                node, op.args["slot"], lambda: depcore.build_element_table(tree).qname(op.target)
+                seq[i], op.args["slot"], lambda: depcore.build_element_table(tree).qname(op.target)
             )
         except OpError as exc:
             raise ApplyError(exc.code, exc.message) from None
@@ -421,11 +546,27 @@ def apply_op(tree: ml.Unit, op: EditOp) -> None:
             raise ApplyError("malformed-op", f"insert position {at} out of range")
         parsed = _parse_stmt_text(op.args["text"])
         _stamp(parsed, list(op.created))
-        stmts.insert(at, parsed)
+        _fresh_list(_own(seq, i), op.args["slot"]).insert(at, parsed)
         return
-    if kind == "replace_statement":
-        parsed = _parse_stmt_text(op.args["text"])
-        _stamp(parsed, [op.target] + list(op.created))
-        seq[i] = parsed
-        return
-    raise ApplyError("malformed-op", f"unhandled edit kind {kind!r}")  # pragma: no cover
+    node = _own(seq, i)
+    if kind == "add_field":
+        init = _parse_expr_text(op.args["init"]) if "init" in op.args else None
+        _fresh_list(node, "members").append(
+            ml.FieldDecl(op.args["type"], op.args["name"], init, eid=op.created[0])
+        )
+    elif kind == "add_method":
+        _fresh_list(node, "members").append(
+            ml.MethodDecl(op.args["ret"], op.args["name"], [], [], eid=op.created[0])
+        )
+    elif kind in ("set_field_type", "set_param_type"):
+        node.type_name = op.args["type"]
+    elif kind == "set_field_init":
+        node.init = _parse_expr_text(op.args["init"]) if "init" in op.args else None
+    elif kind == "set_return_type":
+        node.ret_type = op.args["ret"]
+    elif kind == "add_param":
+        _fresh_list(node, "params").insert(
+            op.args["at"], ml.Param(op.args["type"], op.args["name"], eid=op.created[0])
+        )
+    else:
+        raise ApplyError("malformed-op", f"unhandled edit kind {kind!r}")  # pragma: no cover

@@ -121,9 +121,12 @@ class Snapshot:
     tree: ml.Unit
     text: str
     table: depcore.ElementTable
-    # Edge sets are replaced whole and never mutated, so the snapshot and
-    # the overlays share them freely.
     edges: set[tuple[int, int]]
+    # The tree, the table and the edge set are never mutated, so overlays
+    # and later snapshots share them freely: a view's tree shares every node
+    # its ops do not touch (see `editops.apply_op`), its table shares the
+    # records of elements left in place, and an idle view takes the table
+    # and the edges whole. Derived state is replaced, never edited.
 
     def sha256(self) -> str:
         return hashlib.sha256(self.text.encode()).hexdigest()
@@ -136,16 +139,18 @@ class _Overlay:
     On the record, `base` is the latest snapshot and `ops` the pending
     (locked, uncommitted) ops. Off the record, `base` is the snapshot the
     spell started from and `ops` the buffered ops. Either way `tree` equals
-    `replay_onto(deepcopy(base.tree), ops)`. `table`, `edges` and `report`
-    are derived from the tree by `Kernel._derive` after every change to it;
-    with no ops they are the base snapshot's edges and a buildable report."""
+    `replay_onto(copy.copy(base.tree), ops)`: the view owns its root and
+    shares with its base every node the ops do not touch. `table`, `edges`
+    and `report` are derived from the tree by `Kernel._derive` after every
+    change to it; with no ops they are the base snapshot's table and edges
+    and a buildable report."""
 
     dev: str
     base: Snapshot
     tree: ml.Unit
     ops: list[editops.EditOp] = field(default_factory=list)
     mode: str = ON_RECORD
-    table: depcore.ElementTable = field(init=False)
+    table: depcore.ElementTable = field(init=False)  # shared, see Snapshot
     edges: set[tuple[int, int]] = field(init=False)  # shared, see Snapshot
     report: semantics.BuildReport = field(init=False)
 
@@ -174,8 +179,11 @@ class ModeOutcome:
 
 
 def replay_onto(tree: ml.Unit, ops: list[editops.EditOp]) -> ml.Unit:
-    """Apply ops in order to `tree`, mutating it, and return it. Each op
-    finds its own target, so no element table is built. Deterministic."""
+    """Apply ops in order to `tree` and return it. Only the root `tree` is
+    changed in place; below it each op path-copies what it changes
+    (`editops.apply_op`), so trees sharing nodes with `tree` are left as they
+    were. Each op finds its own target, so no element table is built.
+    Deterministic."""
     for op in ops:
         editops.apply_op(tree, op)
     return tree
@@ -256,21 +264,23 @@ class Kernel:
     # -- registration and views ----------------------------------------------
 
     def _replayed(self, ops: list[editops.EditOp]) -> ml.Unit:
-        """The current snapshot plus `ops`, on a fresh copy of its tree. The
-        only place the kernel copies a tree."""
-        return replay_onto(copy.deepcopy(self.snapshot.tree), ops)
+        """The current snapshot plus `ops`, on a fresh copy of its root: the
+        only place the kernel copies a tree. The result shares every node
+        that `ops` leave untouched with the snapshot."""
+        return replay_onto(copy.copy(self.snapshot.tree), ops)
 
     def _derive(self, ov: _Overlay) -> None:
         """Derive the view's element table, reference edges and build report
         from its tree; the one place they are computed. A view with no ops
-        is its base snapshot, which passed the gate, so it takes the base's
-        edges and a buildable report without a gate."""
-        ov.table = depcore.build_element_table(ov.tree)
+        is its base snapshot, whose classes it shares, and which passed the
+        gate, so it takes the base's table and edges and a buildable report
+        without a gate."""
         if ov.ops:
+            ov.table = depcore.build_element_table(ov.tree, ov.base.table)
             gate = semantics.build_gate(ov.tree)
             ov.edges, ov.report = depcore.edges_of(gate.bindings), gate.report
         else:
-            ov.edges, ov.report = ov.base.edges, _BUILDABLE
+            ov.table, ov.edges, ov.report = ov.base.table, ov.base.edges, _BUILDABLE
 
     def _resync(self, ov: _Overlay, ops: list[editops.EditOp]) -> None:
         """Rebase the view on the current snapshot with `ops` on top. Raises
@@ -324,7 +334,7 @@ class Kernel:
             return (union if eid in union else ov.table).descendants(eid)
 
         try:
-            return editops.prepare(ov.tree, ov.table, request, self.alloc, descendants)
+            return editops.prepare(ov.edges, ov.table, request, self.alloc, descendants)
         except editops.OpError as exc:
             raise KernelError(exc.code, exc.message) from None
 
@@ -436,7 +446,7 @@ class Kernel:
         # the old one; the result must equal the overlay tree, element ids
         # included, so the overlay's edges are the snapshot's too.
         new_tree = self._replayed(ov.ops)
-        new_table = depcore.build_element_table(new_tree)
+        new_table = depcore.build_element_table(new_tree, self.snapshot.table)
         if new_tree != ov.tree or list(new_table.elements) != list(ov.table.elements):
             raise AssertionError("replayed snapshot diverged from overlay")
         version = self.snapshot.version + 1

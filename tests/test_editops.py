@@ -19,7 +19,7 @@ def build(src: str, alloc: depcore.IdAllocator | None = None):
 
 
 def run(tree, table, alloc, kind, target=None, **args):
-    op = editops.prepare(tree, table, editops.EditRequest(kind, target, args), alloc)
+    op = editops.prepare(depcore.ref_edges(tree), table, editops.EditRequest(kind, target, args), alloc)
     editops.apply_op(tree, op)
     return op, depcore.build_element_table(tree)
 
@@ -237,7 +237,7 @@ def test_delete_uses_widened_descendants_when_given():
         return table.descendants(eid) | ({phantom} if eid == foo else set())
 
     op = editops.prepare(
-        tree,
+        depcore.ref_edges(tree),
         table,
         editops.EditRequest("delete_method", "Demo.Foo", {}),
         alloc,
@@ -287,7 +287,7 @@ def test_validation_errors():
 
     def expect(code, kind, target=None, **args):
         with pytest.raises(editops.OpError) as err:
-            editops.prepare(tree, table, editops.EditRequest(kind, target, args), alloc)
+            editops.prepare(depcore.ref_edges(tree), table, editops.EditRequest(kind, target, args), alloc)
         assert err.value.code == code
 
     expect("malformed-op", "warp_method", "Demo.Foo")
@@ -323,7 +323,7 @@ def test_typo_type_is_accepted_by_ops_and_left_to_the_gate():
 def test_prepared_op_applies_identically_to_copies():
     tree, table, alloc = build(BASE)
     op = editops.prepare(
-        tree,
+        depcore.ref_edges(tree),
         table,
         editops.EditRequest("replace_statement", "Demo.Foo/body[0]", {"text": "return;"}),
         alloc,
@@ -341,7 +341,7 @@ def test_prepared_op_applies_identically_to_copies():
 def test_op_record_round_trip():
     tree, table, alloc = build(BASE)
     op = editops.prepare(
-        tree,
+        depcore.ref_edges(tree),
         table,
         editops.EditRequest("rename_method", "Demo.Foo", {"new_name": "Bar"}),
         alloc,
@@ -354,7 +354,7 @@ def test_op_record_round_trip():
 def test_apply_after_target_vanished_raises_apply_error():
     tree, table, alloc = build(BASE)
     op = editops.prepare(
-        tree,
+        depcore.ref_edges(tree),
         table,
         editops.EditRequest("rename_method", "Demo.Foo", {"new_name": "Bar"}),
         alloc,
@@ -362,3 +362,142 @@ def test_apply_after_target_vanished_raises_apply_error():
     run(tree, table, alloc, "delete_method", "Demo.Foo")
     with pytest.raises(editops.ApplyError):
         editops.apply_op(tree, op)
+
+
+# -- persistence: an op changes only the root it is given, plus fresh copies --
+
+SHARING = """\
+class Node {
+    int v = 1;
+
+    int get(int k) {
+        if (k < v) {
+            return k;
+        } else {
+            return v;
+        }
+    }
+
+    void put(int k) {
+        v = get(k) + k;
+    }
+}
+
+class Holder {
+    Node kept;
+
+    Node make(Node n) {
+        Node local = n;
+        return local;
+    }
+}
+"""
+
+EVERY_KIND = [
+    ("create_class", None, {"name": "Fresh"}),
+    ("rename_class", "Node", {"new_name": "Cell"}),
+    ("delete_class", "Holder", {}),
+    ("add_field", "Node", {"type": "int", "name": "w", "init": "2"}),
+    ("rename_field", "Node.v", {"new_name": "w"}),
+    ("set_field_type", "Node.v", {"type": "bool"}),
+    ("set_field_init", "Node.v", {"init": "7"}),
+    ("add_method", "Holder", {"name": "fresh", "ret": "int"}),
+    ("rename_method", "Node.get", {"new_name": "fetch"}),
+    ("set_return_type", "Node.put", {"ret": "int"}),
+    ("delete_method", "Node.put", {}),
+    ("add_param", "Node.put", {"type": "int", "name": "q", "at": 0}),
+    ("rename_param", "Node.get.k", {"new_name": "key"}),
+    ("set_param_type", "Node.get.k", {"type": "bool"}),
+    ("remove_param", "Node.put.k", {}),
+    ("insert_statement", "Node.get/body[0]/else", {"text": "int z = 0;", "at": 0}),
+    ("replace_statement", "Node.put/body[0]", {"text": "if (true) { v = 2; }"}),
+    ("delete_statement", "Node.get/body[0]", {}),
+]
+
+
+def test_every_kind_is_covered():
+    assert sorted(kind for kind, _target, _args in EVERY_KIND) == sorted(editops.EDIT_KINDS)
+
+
+def _record(info):
+    return (info.eid, info.kind, info.parent, info.qname, id(info.node), info.method)
+
+
+def _class_of(table, eid):
+    while table.info(eid).parent is not None:
+        eid = table.info(eid).parent
+    return eid
+
+
+@pytest.mark.parametrize("kind, target, args", EVERY_KIND, ids=[case[0] for case in EVERY_KIND])
+def test_an_op_leaves_every_tree_sharing_its_nodes_alone(kind, target, args):
+    tree, table, alloc = build(SHARING)
+    op = editops.prepare(depcore.ref_edges(tree), table, editops.EditRequest(kind, target, args), alloc)
+    text, before = ml.print_unit(tree), copy.deepcopy(tree)
+    ids = list(table.elements)
+
+    shared = copy.copy(tree)
+    editops.apply_op(shared, op)
+    assert ml.print_unit(tree) == text
+    assert tree == before
+    assert list(depcore.build_element_table(tree).elements) == ids
+
+    deep = copy.deepcopy(before)
+    editops.apply_op(deep, op)
+    assert shared == deep
+    assert ml.print_unit(shared) == ml.print_unit(deep) != text
+    assert list(depcore.build_element_table(shared).elements) == list(
+        depcore.build_element_table(deep).elements
+    )
+
+    # a table built with the original's as prior equals one built from scratch
+    reused = depcore.build_element_table(shared, table)
+    fresh = depcore.build_element_table(shared)
+    assert [_record(info) for info in reused.elements.values()] == [
+        _record(info) for info in fresh.elements.values()
+    ]
+    assert reused.by_qname == fresh.by_qname
+
+    # a class holding nothing the op changes is the original's object
+    changed = {_class_of(table, eid) for eid in {op.target, *op.touched} if eid in table}
+    for cls in shared.classes:
+        if cls.eid in table and cls.eid not in changed:
+            assert cls is tree.classes[[c.eid for c in tree.classes].index(cls.eid)]
+
+
+def test_a_rename_copies_only_the_paths_to_its_sites():
+    tree, table, alloc = build(SHARING)
+    op = editops.prepare(
+        depcore.ref_edges(tree), table, editops.EditRequest("rename_field", "Node.v", {"new_name": "w"}), alloc
+    )
+    shared = copy.copy(tree)
+    editops.apply_op(shared, op)
+    node, holder = shared.classes
+    assert holder is tree.classes[1]
+    get, put = node.members[1], node.members[2]
+    old_get = tree.classes[0].members[1]
+    assert get is not old_get and put is not tree.classes[0].members[2]
+    # the parameter and the then-arm hold no site
+    assert get.params[0] is old_get.params[0]
+    assert get.body[0].then_body is old_get.body[0].then_body
+    assert get.body[0].cond.left is old_get.body[0].cond.left
+    assert put.body[0].value.left is tree.classes[0].members[2].body[0].value.left
+
+
+def test_a_table_reuses_the_records_of_elements_left_in_place():
+    tree, table, alloc = build(SHARING)
+    iff = table.resolve_qname("Node.get/body[0]")
+    kept = table.resolve_qname("Holder.kept")
+    op = editops.prepare(
+        depcore.ref_edges(tree),
+        table,
+        editops.EditRequest("insert_statement", "Node.get/body", {"text": "int z = 0;", "at": 0}),
+        alloc,
+    )
+    shared = copy.copy(tree)
+    editops.apply_op(shared, op)
+    rebuilt = depcore.build_element_table(shared, table)
+    assert rebuilt.info(kept) is table.info(kept)
+    # the if statement is the same node, one place further down
+    assert rebuilt.info(iff) is not table.info(iff)
+    assert rebuilt.qname(iff) == "Node.get/body[1]"

@@ -74,12 +74,14 @@ def test_instruments_resolve_and_come_off(perfbench):
     for span in (
         "synckernel.request_edit",
         "synckernel.try_commit",
-        "synckernel.tree_copy",
         "depcore.union_tables",
         "depcore.build_ref_index",
         "editops.prepare",
     ):
         assert span in tracer.names
+    # views share their snapshot's nodes: the shim is in place, but no
+    # request deep-copies a tree
+    assert "synckernel.tree_copy" not in tracer.names
     assert tracer.counts[("edit", "depcore.dependency_rule")] >= 1
     assert checks.span_problems(tracer) == []
 

@@ -561,11 +561,49 @@ def test_a_commit_builds_one_element_table_per_replayed_view(monkeypatch):
     monkeypatch.setattr(synckernel, "copy", counting)
     tables = []
     build = depcore.build_element_table
-    monkeypatch.setattr(depcore, "build_element_table", lambda unit: tables.append(unit) or build(unit))
+    monkeypatch.setattr(depcore, "build_element_table", lambda unit, prior=None: tables.append(unit) or build(unit, prior))
     assert kernel.try_commit("alice").ok
-    # the new snapshot, bob's view and carol's view
-    assert counting.calls == 3
-    assert len(tables) == counting.calls
+    # no tree is deep-copied; tables for the new snapshot and bob's view,
+    # while carol, with no ops, takes the snapshot's table
+    assert counting.calls == 0
+    assert tables == [kernel.snapshot.tree, kernel.devs["bob"].tree]
+    assert kernel.devs["carol"].table is kernel.snapshot.table
+
+
+def test_registration_shares_every_class_with_the_snapshot():
+    kernel = make(THREE, devs=("alice",))
+    view = kernel.devs["alice"]
+    assert view.tree is not kernel.snapshot.tree
+    assert all(mine is theirs for mine, theirs in zip(view.tree.classes, kernel.snapshot.tree.classes))
+    assert view.table is kernel.snapshot.table
+
+
+def test_a_commit_shares_every_class_its_ops_leave_alone():
+    kernel = make(THREE, devs=("alice", "bob"))
+    old = kernel.snapshot
+    assert kernel.request_edit("alice", EditRequest("set_field_init", "A.a", {"init": "1"})).granted
+    assert kernel.try_commit("alice").ok
+    new_a, new_b = kernel.snapshot.tree.classes
+    assert new_a is not old.tree.classes[0]
+    assert new_b is old.tree.classes[1]
+    # in class A, only the path to the field was copied
+    assert new_a.members[1] is old.tree.classes[0].members[1]
+    assert ml.print_unit(old.tree) == old.text
+
+
+def test_a_kernel_rename_resolves_only_in_apply_and_gate(monkeypatch):
+    kernel = make(SHARED, devs=("alice", "bob"))
+    assert kernel.request_edit("bob", EditRequest("set_field_init", "Demo.someVar", {"init": "3"})).granted
+    resolved = []
+    resolve = semantics.resolve
+    monkeypatch.setattr(semantics, "resolve", lambda unit: resolved.append(unit) or resolve(unit))
+    # the cascade owners come from the view's edges, not from a resolve
+    outcome = kernel.request_edit("alice", EditRequest("rename_field", "Demo.someVar", {"new_name": "v"}))
+    assert not outcome.granted and resolved == []
+    kernel.revert("bob")
+    outcome = kernel.request_edit("alice", EditRequest("rename_field", "Demo.someVar", {"new_name": "v"}))
+    assert outcome.granted and len(resolved) == 2
+    assert "int otherVar = v;" in kernel.view_text("alice")
 
 
 def test_revert_returns_offrecord_developer_to_the_record():
@@ -646,6 +684,10 @@ MACHINE_SOURCE = textwrap.dedent(
 _DEVS = ("d1", "d2", "d3")
 
 
+def _record(info):
+    return (info.eid, info.kind, info.parent, info.qname, id(info.node), info.method)
+
+
 class KernelMachine(RuleBasedStateMachine):
     """Random edits, commits, reverts and off-record spells; cross-developer
     lock pairs must stay independent and only buildable snapshots may
@@ -701,6 +743,19 @@ class KernelMachine(RuleBasedStateMachine):
         if methods:
             target = methods[seed % len(methods)]
             self._request(dev, EditRequest("insert_statement", target, {"slot": "body", "text": f"int n{self._fresh()} = 0;"}))
+
+    @rule(dev=st.sampled_from(_DEVS), seed=st.integers(0, 1000))
+    def rename_method(self, dev, seed):
+        table, methods = self._pick(dev, depcore.METHOD)
+        if methods:
+            target = methods[seed % len(methods)]
+            self._request(dev, EditRequest("rename_method", target, {"new_name": f"meth{self._fresh()}"}))
+
+    @rule(dev=st.sampled_from(_DEVS), seed=st.integers(0, 1000))
+    def delete_statement(self, dev, seed):
+        table, stmts = self._pick(dev, depcore.STATEMENT)
+        if stmts:
+            self._request(dev, EditRequest("delete_statement", stmts[seed % len(stmts)]))
 
     @rule(dev=st.sampled_from(_DEVS))
     def add_field(self, dev):
@@ -768,6 +823,9 @@ class KernelMachine(RuleBasedStateMachine):
         snap = self.kernel.snapshot
         assert snap.edges == depcore.ref_edges(snap.tree)
         assert snap.text == ml.print_unit(snap.tree)
+        assert [_record(info) for info in snap.table.elements.values()] == [
+            _record(info) for info in depcore.build_element_table(snap.tree).elements.values()
+        ]
         for dev, ov in sorted(self.kernel.devs.items()):
             # off-record views too: their edges are invisible, not stale
             assert ov.edges == depcore.ref_edges(ov.tree), dev
@@ -775,10 +833,12 @@ class KernelMachine(RuleBasedStateMachine):
                 assert ov.report == semantics.build_gate(ov.tree).report, dev
             else:
                 assert ov.report.buildable, dev
+            # records may be shared with other tables, never changed
             rebuilt = depcore.build_element_table(ov.tree)
-            assert [(e, ov.table.qname(e)) for e in ov.table.elements] == [
-                (e, rebuilt.qname(e)) for e in rebuilt.elements
+            assert [_record(info) for info in ov.table.elements.values()] == [
+                _record(info) for info in rebuilt.elements.values()
             ], dev
+            assert ov.table.by_qname == rebuilt.by_qname, dev
 
     @invariant()
     def every_view_is_its_base_plus_its_ops(self):
@@ -790,6 +850,15 @@ class KernelMachine(RuleBasedStateMachine):
             assert list(depcore.build_element_table(tree).elements) == list(ov.table.elements), dev
             if ov.mode == ON_RECORD:
                 assert ov.base is self.kernel.snapshot, dev
+
+    @invariant()
+    def published_snapshots_keep_their_text(self):
+        # views and later snapshots share nodes with every published
+        # snapshot, so an edit that changed a shared node in place shows here
+        if not hasattr(self, "kernel"):
+            return
+        for snap in self.kernel.history:
+            assert ml.print_unit(snap.tree) == snap.text, snap.version
 
     @invariant()
     def event_log_is_gapless_and_replayable(self):
