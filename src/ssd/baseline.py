@@ -9,6 +9,13 @@ elements never move between parents, that is a complete merge. Conflicts are
 recorded and auto-resolved in favour of the checking-in developer, so a
 checkin always lands; central may even become unbuildable, which is exactly
 the failure mode the coordinated kernel rules out.
+
+Trees are persistent values here as in the kernel: central, base and
+working trees share nodes and none is changed below its root. The merge
+shares what it keeps. An element comes from the side the merge chose, as
+that side's node itself when its merged child lists hold the very nodes it
+already holds, and otherwise as a shallow copy holding the merged lists, so
+only the elements above a change from the other side are copied.
 """
 
 from __future__ import annotations
@@ -208,16 +215,16 @@ class _Merge:
         return []
 
     def _build_element(self, eid: int):
-        source = self._chosen_node(eid)
-        # copy the node's own content only: each child list copies as a
-        # fresh empty list, filled from the merged slot below
-        slots = depcore.child_slots(source)
-        memo = {id(children): [] for _slot, children in slots}
-        node = copy.deepcopy(source, memo)
-        for slot, children in slots:
-            memo[id(children)].extend(
-                self._build_element(child) for child in self._merge_child_slot(eid, slot)
-            )
+        """The merged element: the chosen side's node itself when each of
+        its merged child lists holds the very nodes it already holds,
+        otherwise a shallow copy of it holding the merged lists."""
+        source = node = self._chosen_node(eid)
+        for slot, children in depcore.child_slots(source):
+            merged = [self._build_element(child) for child in self._merge_child_slot(eid, slot)]
+            if len(merged) != len(children) or any(m is not c for m, c in zip(merged, children)):
+                if node is source:
+                    node = depcore.copy_node(source)
+                setattr(node, depcore.SLOT_ATTRS.get(slot, slot), merged)
         return node
 
     def _merge_child_slot(self, parent: int | None, slot: str) -> list[int]:

@@ -9,10 +9,12 @@ elements receive their ids at preparation time and reuse them on every
 the same materialized tree.
 
 Trees are persistent values. Applying an op changes only the root `Unit` it
-is given; below the root it replaces each node and child list on the path to
-a changed node with a fresh shallow copy (path copying). Every node another
-tree can reach is left as it was, so trees share whatever an edit does not
-touch.
+is given. Every op but `create_class` becomes edits on elements, each a
+function from an element to its replacement, and one walk (`_edited`)
+applies them all: it replaces each node and child list on the path down to
+an edited element with a fresh shallow copy (path copying) and stops once
+no edit is left. Every node another tree can reach is left as it was, so
+trees share whatever an edit does not touch.
 """
 
 from __future__ import annotations
@@ -357,62 +359,37 @@ class ApplyError(Exception):
         self.code = code
 
 
-def _path(node, eid: int) -> list[tuple[str, int]] | None:
-    """The (child slot, index) steps from `node` down to element `eid`,
-    deepest first; None when `eid` is not below `node`."""
-    for slot, seq in depcore.child_slots(node):
-        for i, child in enumerate(seq):
-            if child.eid == eid:
-                return [(slot, i)]
-            below = _path(child, eid)
-            if below is not None:
-                below.append((slot, i))
-                return below
-    return None
+# An edit maps an element to its replacement: a fresh node, or None to
+# delete it. It never changes the node it is given.
+Edit = Callable[[object], object]
 
 
-def _steps(tree: ml.Unit, eid: int) -> list[tuple[str, int]]:
-    """The steps from the root down to element `eid`, root first."""
-    steps = _path(tree, eid)
-    if steps is None:
-        raise ApplyError("unknown-element", f"element {eid} not in this view")
-    steps.reverse()
-    return steps
-
-
-def _fresh_list(node, slot: str) -> list:
-    """Give `node` its own copy of its child list `slot`, and return it."""
-    attr = depcore.SLOT_ATTRS.get(slot, slot)
-    seq = list(getattr(node, attr))
-    setattr(node, attr, seq)
-    return seq
-
-
-def _copy(node):
-    """A shallow copy of an AST node. The nodes are plain dataclasses, so
-    this does what `copy.copy` does at a quarter of its cost, which a path
-    copy pays per node."""
-    fresh = object.__new__(type(node))
-    fresh.__dict__.update(node.__dict__)
-    return fresh
-
-
-def _own(seq: list, i: int):
-    """Replace `seq[i]` with a fresh shallow copy, and return the copy."""
-    node = seq[i] = _copy(seq[i])
-    return node
-
-
-def _copy_path(tree: ml.Unit, eid: int) -> tuple[list, int]:
-    """Path-copy down to element `eid`: each node between the root and it,
-    and each child list on the way, becomes a fresh shallow copy. Returns
-    the element's container list, fresh, and its index there; the element
-    itself is still shared."""
-    *above, (slot, i) = _steps(tree, eid)
-    node = tree
-    for step, j in above:
-        node = _own(_fresh_list(node, step), j)
-    return _fresh_list(node, slot), i
+def _edited(seq: list, edits: dict[int, Edit]) -> list:
+    """`seq` itself when no element in it or below it is a key of `edits`;
+    otherwise a fresh list holding each such element's replacement. Only
+    the nodes and child lists on the paths down to edited elements are
+    copied, shallowly, so the result shares everything else with `seq`.
+    An element's edit is given the element as `seq` holds it, before
+    anything below it is edited. Each edit applied leaves `edits`, and the
+    walk stops as soon as none is left."""
+    out = None
+    for i, node in enumerate(seq):
+        if not edits:
+            return seq if out is None else out + seq[i:]
+        edit = edits.pop(node.eid, None)
+        new = node if edit is None else edit(node)
+        if new is not None:
+            for slot, children in depcore.child_slots(new):
+                below = _edited(children, edits)
+                if below is not children:
+                    if new is node:
+                        new = depcore.copy_node(node)
+                    setattr(new, depcore.SLOT_ATTRS.get(slot, slot), below)
+        if new is not node and out is None:
+            out = seq[:i]
+        if out is not None and new is not None:
+            out.append(new)
+    return seq if out is None else out
 
 
 def _stamp(stmt: ml.Stmt, ids: list[int]) -> None:
@@ -431,142 +408,111 @@ def _renamed_expr(expr, new_name: str, own: dict[int, str]):
         right = _renamed_expr(expr.right, new_name, own)
         if left is expr.left and right is expr.right:
             return expr
-        fresh = _copy(expr)
-        fresh.left, fresh.right = left, right
-        return fresh
+        return depcore.copy_node(expr, left=left, right=right)
+    changes = {}
     attr = own.pop(id(expr), None)
-    args = None
-    for i, arg in enumerate(expr.args if isinstance(expr, ml.Call) else ()):
-        new = _renamed_expr(arg, new_name, own)
-        if new is not arg:
-            if args is None:
-                args = list(expr.args)
-            args[i] = new
-    if attr is None and args is None:
-        return expr
-    fresh = _copy(expr)
     if attr is not None:
-        setattr(fresh, attr, new_name)
-    if args is not None:
-        fresh.args = args
-    return fresh
+        changes[attr] = new_name
+    args = expr.args if isinstance(expr, ml.Call) else []
+    renamed = [_renamed_expr(arg, new_name, own) for arg in args]
+    if any(new is not arg for new, arg in zip(renamed, args)):
+        changes["args"] = renamed
+    return depcore.copy_node(expr, **changes) if changes else expr
 
 
-def _renamed(node, target: int, new_name: str, sites: dict[int, dict[int, str]]):
-    """`node` itself when neither it nor any element below it is the target
-    or owns one of its reference sites (`sites`: owner element -> node id ->
-    attribute); otherwise a fresh copy carrying the new name, with the same
-    done below. Each site renamed leaves `sites`. Only an owner's own
-    expressions are descended into."""
-    fresh = None
-    for slot, seq in depcore.child_slots(node):
-        renamed = None
-        for i, child in enumerate(seq):
-            new = _renamed(child, target, new_name, sites)
-            if new is not child:
-                if renamed is None:
-                    renamed = list(seq)
-                renamed[i] = new
-        if renamed is not None:
-            if fresh is None:
-                fresh = _copy(node)
-            setattr(fresh, depcore.SLOT_ATTRS.get(slot, slot), renamed)
-    own = sites.get(node.eid)
-    if not own and node.eid != target:
-        return node if fresh is None else fresh
-    if fresh is None:
-        fresh = _copy(node)
-    if node.eid == target:
-        fresh.name = new_name
-    if own:
-        attr = own.pop(id(node), None)  # a type reference the element holds
-        if attr is not None:
-            setattr(fresh, attr, new_name)
-        for attr in _EXPR_ATTRS.get(type(node), ()):
-            expr = getattr(node, attr)
-            if expr is not None:
-                setattr(fresh, attr, _renamed_expr(expr, new_name, own))
-    return fresh
-
-
-def _rename(tree: ml.Unit, op: EditOp) -> None:
-    """Rename the target and rewrite every reference site of it. Field,
-    method and parameter names are visible only inside their own class
-    (`semantics._Walker`), so only a class rename looks beyond the
-    target's class. A site left unreached is an error: no node is ever
-    renamed in place."""
-    class_index = _steps(tree, op.target)[0][1]
+def _rename_edits(tree: ml.Unit, op: EditOp) -> dict[int, Edit]:
+    """A rename as edits: one on the target, giving it the new name, and one
+    on each element that owns a reference site of it, rewriting the sites
+    in the element's own type reference and expressions. The sites come
+    from resolving the whole unit. A site its owner's edit leaves unreached
+    is an error: no node is ever renamed in place."""
     sites: dict[int, dict[int, str]] = {}
     for site in semantics.resolve(tree).table.sites:
         if site.target == op.target:
             sites.setdefault(site.owner, {})[id(site.node)] = site.attr
     new_name = op.args["new_name"]
-    classes = tree.classes = list(tree.classes)
-    for c in range(len(classes)) if op.kind == "rename_class" else [class_index]:
-        classes[c] = _renamed(classes[c], op.target, new_name, sites)
-    unreached = [owner for owner, own in sites.items() if own]
-    if unreached:
-        raise AssertionError(f"rename of element {op.target} left sites unreached in {unreached}")
+
+    def renamed(node):
+        changes = {"name": new_name} if node.eid == op.target else {}
+        own = sites.get(node.eid, {})
+        attr = own.pop(id(node), None)  # a type reference the element holds
+        if attr is not None:
+            changes[attr] = new_name
+        for attr in _EXPR_ATTRS.get(type(node), ()):
+            expr = getattr(node, attr)
+            if expr is not None:
+                changes[attr] = _renamed_expr(expr, new_name, own)
+        if own:
+            raise AssertionError(f"rename of element {op.target} left sites unreached in {node.eid}")
+        return depcore.copy_node(node, **changes)
+
+    return dict.fromkeys([op.target, *sites], renamed)
+
+
+def _edit(tree: ml.Unit, op: EditOp) -> Edit:
+    """The edit a single-target op makes to its target."""
+    kind, args = op.kind, op.args
+    if kind in ("delete_class", "delete_method", "remove_param", "delete_statement"):
+        return lambda node: None
+    if kind == "replace_statement":
+        parsed = _parse_stmt_text(args["text"])
+        _stamp(parsed, [op.target, *op.created])
+        return lambda node: parsed
+    if kind == "insert_statement":
+        parsed = _parse_stmt_text(args["text"])
+        _stamp(parsed, list(op.created))
+        slot, at = args["slot"], args["at"]
+
+        def insert(node):
+            # only the error names the owner, so only the error builds a table
+            try:
+                stmts = _statements(node, slot, lambda: depcore.build_element_table(tree).qname(op.target))
+            except OpError as exc:
+                raise ApplyError(exc.code, exc.message) from None
+            if not 0 <= at <= len(stmts):
+                raise ApplyError("malformed-op", f"insert position {at} out of range")
+            attr = depcore.SLOT_ATTRS.get(slot, slot)
+            return depcore.copy_node(node, **{attr: stmts[:at] + [parsed] + stmts[at:]})
+
+        return insert
+    if kind in ("add_field", "add_method"):
+        if kind == "add_field":
+            init = _parse_expr_text(args["init"]) if "init" in args else None
+            member = ml.FieldDecl(args["type"], args["name"], init, eid=op.created[0])
+        else:
+            member = ml.MethodDecl(args["ret"], args["name"], [], [], eid=op.created[0])
+        return lambda cls: depcore.copy_node(cls, members=cls.members + [member])
+    if kind == "add_param":
+        param, at = ml.Param(args["type"], args["name"], eid=op.created[0]), args["at"]
+        return lambda method: depcore.copy_node(method, params=method.params[:at] + [param] + method.params[at:])
+    if kind in ("set_field_type", "set_param_type"):
+        return lambda node: depcore.copy_node(node, type_name=args["type"])
+    if kind == "set_field_init":
+        init = _parse_expr_text(args["init"]) if "init" in args else None
+        return lambda node: depcore.copy_node(node, init=init)
+    if kind == "set_return_type":
+        return lambda node: depcore.copy_node(node, ret_type=args["ret"])
+    raise ApplyError("malformed-op", f"unhandled edit kind {kind!r}")  # pragma: no cover
 
 
 def apply_op(tree: ml.Unit, op: EditOp) -> None:
     """Apply one prepared op to `tree`. It changes only the root `tree`
-    itself plus fresh copies: each node it changes, and each node and child
-    list on the path down to one, is replaced by a shallow copy, so no node
-    that another tree can reach ever changes. The op finds its target by
-    walking `tree` and reads no element table, so a caller builds one when
-    it needs it. Deterministic: same tree and op always produce the same
-    result, including created element ids."""
-    kind = op.kind
-    if kind == "create_class":
+    itself: the op becomes edits on elements (its target, and for a rename
+    each owner of a reference site), and one walk (`_edited`) derives the
+    new class list from the old, copying only the nodes and child lists on
+    the paths down to the edited elements, so no node that another tree can
+    reach ever changes. The root takes the new class list only once the
+    walk has succeeded, so an op that raises leaves `tree` as it was. The
+    op finds its target by walking `tree` and reads no element table, so a
+    caller builds one when it needs it. Deterministic: same tree and op
+    always produce the same result, including created element ids."""
+    if op.kind == "create_class":
         tree.classes = tree.classes + [ml.ClassDecl(op.args["name"], [], eid=op.created[0])]
         return
-    if kind in RENAMES:
-        _rename(tree, op)
-        return
-    seq, i = _copy_path(tree, op.target)
-    if kind in ("delete_class", "delete_method", "remove_param", "delete_statement"):
-        del seq[i]
-        return
-    if kind == "replace_statement":
-        parsed = _parse_stmt_text(op.args["text"])
-        _stamp(parsed, [op.target] + list(op.created))
-        seq[i] = parsed
-        return
-    if kind == "insert_statement":
-        # only the error names the owner, so only the error builds a table
-        try:
-            stmts = _statements(
-                seq[i], op.args["slot"], lambda: depcore.build_element_table(tree).qname(op.target)
-            )
-        except OpError as exc:
-            raise ApplyError(exc.code, exc.message) from None
-        at = op.args["at"]
-        if not 0 <= at <= len(stmts):
-            raise ApplyError("malformed-op", f"insert position {at} out of range")
-        parsed = _parse_stmt_text(op.args["text"])
-        _stamp(parsed, list(op.created))
-        _fresh_list(_own(seq, i), op.args["slot"]).insert(at, parsed)
-        return
-    node = _own(seq, i)
-    if kind == "add_field":
-        init = _parse_expr_text(op.args["init"]) if "init" in op.args else None
-        _fresh_list(node, "members").append(
-            ml.FieldDecl(op.args["type"], op.args["name"], init, eid=op.created[0])
-        )
-    elif kind == "add_method":
-        _fresh_list(node, "members").append(
-            ml.MethodDecl(op.args["ret"], op.args["name"], [], [], eid=op.created[0])
-        )
-    elif kind in ("set_field_type", "set_param_type"):
-        node.type_name = op.args["type"]
-    elif kind == "set_field_init":
-        node.init = _parse_expr_text(op.args["init"]) if "init" in op.args else None
-    elif kind == "set_return_type":
-        node.ret_type = op.args["ret"]
-    elif kind == "add_param":
-        _fresh_list(node, "params").insert(
-            op.args["at"], ml.Param(op.args["type"], op.args["name"], eid=op.created[0])
-        )
-    else:
-        raise ApplyError("malformed-op", f"unhandled edit kind {kind!r}")  # pragma: no cover
+    edits = _rename_edits(tree, op) if op.kind in RENAMES else {op.target: _edit(tree, op)}
+    classes = _edited(tree.classes, edits)
+    if op.target in edits:
+        raise ApplyError("unknown-element", f"element {op.target} not in this view")
+    if edits:
+        raise AssertionError(f"rename of element {op.target} left sites unreached in {list(edits)}")
+    tree.classes = classes

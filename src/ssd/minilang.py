@@ -31,9 +31,6 @@ class Span:
     line: int
     col: int
 
-    def __deepcopy__(self, memo) -> "Span":
-        return self  # frozen, so a copy may share it
-
 
 NO_SPAN = Span(0, 0, 1, 1)
 

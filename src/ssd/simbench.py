@@ -337,7 +337,13 @@ _FIELDS = ["Shared.f0", "Shared.f1", "Shared.f2", "Shared.f3"]
 _METHOD_BODIES = ["Shared.m0/body", "Shared.m1/body", "Shared.m2/body"]
 
 
-def generate_scenario(seed: int, edits: int = 54, commit_every: int = 4) -> ScenarioScript:
+# a generated script's length, and how many edits each developer makes
+# between commits
+_EDITS = 54
+_COMMIT_EVERY = 4
+
+
+def generate_scenario(seed: int) -> ScenarioScript:
     """Seeded random 3-developer script over a shared class, tuned so
     dependent-pair contention is common. Deterministic per seed."""
     rng = random.Random(seed)
@@ -346,7 +352,7 @@ def generate_scenario(seed: int, edits: int = 54, commit_every: int = 4) -> Scen
     vt = 0
     counter = 0
     per_dev_edits = {d: 0 for d in devs}
-    for _ in range(edits):
+    for _ in range(_EDITS):
         vt += rng.randrange(5, 16)
         dev = rng.choice(devs)
         counter += 1
@@ -373,7 +379,7 @@ def generate_scenario(seed: int, edits: int = 54, commit_every: int = 4) -> Scen
             target = rng.choice(["Shared.m0", "Shared.m1", "Shared.m2"])
             lines.append(f"{vt} {dev} rename_method {target} new_name=mn{counter}")
         per_dev_edits[dev] += 1
-        if per_dev_edits[dev] % commit_every == 0:
+        if per_dev_edits[dev] % _COMMIT_EVERY == 0:
             vt += 1
             lines.append(f"{vt} {dev} try_commit")
     for dev in devs:

@@ -328,11 +328,13 @@ class Kernel:
         return found
 
     def _prepare(
-        self, ov: _Overlay, request: editops.EditRequest, union: depcore.ElementTable
+        self, ov: _Overlay, request: editops.EditRequest, union: depcore.ElementTable | None = None
     ) -> editops.EditOp:
-        def descendants(eid: int) -> set[int]:
-            return (union if eid in union else ov.table).descendants(eid)
-
+        """Resolve a request against the developer's view. Given `union`, of
+        which that view is part, a destructive op's subtree also takes in what
+        the union holds beneath its target, such as other developers' pending
+        creations."""
+        descendants = union.descendants if union is not None else None
         try:
             return editops.prepare(ov.edges, ov.table, request, self.alloc, descendants)
         except editops.OpError as exc:
@@ -424,8 +426,10 @@ class Kernel:
         ov = self._overlay(dev)
         if ov.mode != OFF_RECORD:
             raise KernelError("not-off-record", f"{dev} is on the record; use request_edit")
-        union, _index = self._views()
-        op = self._prepare(ov, request, union)
+        # prepared against the developer's own view alone: what others have
+        # pending is no part of the buffered work, and reconciliation
+        # compares what it touched against the departure snapshot
+        op = self._prepare(ov, request)
         # deliberately no events: the kernel keeps no public trace of
         # off-record work, and admission does not see off-record views
         self._apply(ov, op)
@@ -537,21 +541,30 @@ class Kernel:
         dev = ov.dev
         created = {eid for op in ov.ops for eid in op.created}
         touched = {eid for op in ov.ops for eid in op.touched} - created
-        old = ov.base
+        # a delete or a replace removes everything beneath its target: work
+        # committed there meanwhile is a change to the target, and what the
+        # views hold there goes through admission with the touched set
+        removed = {
+            op.target for op in ov.ops if op.kind.startswith("delete_") or op.kind == "replace_statement"
+        }
+        union, index = self._views()
+        beneath = {d for t in removed if t in union for d in union.descendants(t)}
+        old, new = ov.base.table, self.snapshot.table
         changed: list[dict] = []
         for eid in sorted(touched):
-            if eid not in old.table:
+            if eid not in old:
                 # should be unreachable (all non-created touched ids come
                 # from the departure view); treat as drift rather than trust it
                 changed.append({"element": eid, "change": "untracked"})
-            elif eid not in self.snapshot.table:
+            elif eid not in new:
                 changed.append({"element": eid, "change": "deleted"})
             else:
-                before = depcore.element_content(old.table.info(eid).node)
-                after = depcore.element_content(self.snapshot.table.info(eid).node)
-                if before != after:
+                before = depcore.element_content(old.info(eid).node)
+                after = depcore.element_content(new.info(eid).node)
+                grew = eid in removed and not new.descendants(eid) <= old.descendants(eid)
+                if before != after or grew:
                     changed.append({"element": eid, "change": "modified"})
-        blocked = self._admission_conflicts(dev, touched | created, *self._views())
+        blocked = self._admission_conflicts(dev, touched | created | beneath, union, index)
         replay_failure: str | None = None
         # with no commit during the spell the view already is base plus ops
         if not changed and not blocked and ov.base is not self.snapshot:

@@ -1,6 +1,5 @@
 """Checkin/checkout baseline: merges, conflict kinds, mine-wins resolution."""
 
-import collections
 import copy
 import textwrap
 
@@ -289,48 +288,44 @@ def test_edits_after_a_fast_forward_checkin_leave_shared_trees_alone():
 
 
 class _CountingCopy:
-    """Stands in for the `copy` module and counts, per element id, every
-    element node a `deepcopy` call copies, nested ones included."""
+    """Stands in for the `copy` module and counts `deepcopy` calls."""
 
     def __init__(self):
-        self.copies = collections.Counter()
+        self.deepcopies = 0
 
     def deepcopy(self, x, memo=None):
-        memo = {} if memo is None else memo
-        out = copy.deepcopy(x, memo)
-        for copied in memo.values():
-            if depcore.kind_of(copied) is not None:
-                self.copies[copied.eid] += 1
-        return out
+        self.deepcopies += 1
+        return copy.deepcopy(x, memo)
 
     def __getattr__(self, name):
         return getattr(copy, name)
 
 
-def _element_nodes(tree):
-    return [info.node for info in depcore.build_element_table(tree).elements.values()]
-
-
-def test_merge_copies_each_element_once_and_shares_none(monkeypatch):
-    repo = make(simbench.make_project(classes=2))
+def test_merge_shares_what_it_keeps_and_changes_no_input(monkeypatch):
+    repo = make(simbench.make_project(classes=3))
     repo.edit("d1", req("rename_field", "C0.f1", new_name="g1"))
     repo.checkin("d1")
     repo.edit("d2", req("insert_statement", "C1.m0/body", text="if (true) { f0 = 1; } else { while (false) { f1 = 2; } }"))
     repo.edit("d2", req("add_param", "C1.m1", type="int", name="q"))
     wc = repo.devs["d2"]
-    base, mine, theirs = wc.base_tree, wc.tree, repo.central
+    inputs = (wc.base_tree, wc.tree, repo.central)
+    before = [(copy.deepcopy(tree), ml.print_unit(tree)) for tree in inputs]
 
     counting = _CountingCopy()
     monkeypatch.setattr(baseline, "copy", counting)
-    merged, conflicts = baseline.merge_trees(base, mine, theirs)
+    merged, conflicts = baseline.merge_trees(*inputs)
 
     assert conflicts == []
+    assert counting.deepcopies == 0
+    for tree, (deep, text) in zip(inputs, before):
+        assert tree == deep
+        assert ml.print_unit(tree) == text
+    theirs = repo.central.classes
+    assert merged.classes[2] is theirs[2]  # neither side changed C2
+    assert merged.classes[0] is theirs[0]  # only theirs changed C0
+    assert merged.classes[1] is not theirs[1]
     text = ml.print_unit(merged)
     assert "int g1" in text and "while (false)" in text and "int q" in text
-    merged_eids = list(depcore.build_element_table(merged).elements)
-    assert counting.copies == collections.Counter(merged_eids)
-    inputs = {id(node) for tree in (base, mine, theirs) for node in _element_nodes(tree)}
-    assert not any(id(node) in inputs for node in _element_nodes(merged))
 
 
 def test_conflict_record_shape():

@@ -364,6 +364,42 @@ def test_apply_after_target_vanished_raises_apply_error():
         editops.apply_op(tree, op)
 
 
+NO_ELSE = """\
+class C {
+    int f;
+
+    void m() {
+        if (true) {
+            f = 1;
+        }
+    }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "kind, target, args, code",
+    [
+        ("insert_statement", "C.m/body[0]", {"slot": "else", "at": 0, "text": "f = 2;"}, "malformed-op"),
+        ("insert_statement", "C.m", {"slot": "body", "at": 2, "text": "f = 2;"}, "malformed-op"),
+        ("set_field_init", 99, {"init": "2"}, "unknown-element"),
+    ],
+    ids=["missing-slot", "position-out-of-range", "target-gone"],
+)
+def test_a_failing_op_leaves_the_tree_as_it_was(kind, target, args, code):
+    # ops as a rebase can meet them: made for a tree other than this one
+    tree, table, alloc = build(NO_ELSE)
+    eid = table.resolve_qname(target) if isinstance(target, str) else target
+    created = (alloc.fresh(),) if kind == "insert_statement" else ()
+    op = editops.EditOp(kind, eid, args, (eid, *created), created)
+    classes, text = tree.classes, ml.print_unit(tree)
+    with pytest.raises(editops.ApplyError) as err:
+        editops.apply_op(tree, op)
+    assert err.value.code == code
+    assert tree.classes is classes
+    assert ml.print_unit(tree) == text
+
+
 # -- persistence: an op changes only the root it is given, plus fresh copies --
 
 SHARING = """\

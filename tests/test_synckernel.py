@@ -450,6 +450,75 @@ def test_reconcile_clean_adopts_buffer():
     assert kernel.try_commit("carol").ok
 
 
+DELETE_RACE = textwrap.dedent(
+    """\
+    class A {
+        int f = 1;
+
+        void m() {
+            f = 2;
+        }
+    }
+    """
+)
+
+
+def test_reconcile_refuses_a_delete_of_work_committed_beneath_it():
+    # a buffered delete would drop what another developer committed inside
+    # its target during the spell
+    kernel = make(DELETE_RACE, devs=("a", "b"))
+    kernel.set_mode("b", OFF_RECORD)
+    kernel.buffer_edit("b", EditRequest("delete_method", "A.m"))
+    assert kernel.request_edit("a", EditRequest("insert_statement", "A.m/body", {"text": "f = 3;"})).granted
+    assert kernel.try_commit("a").ok
+    outcome = kernel.set_mode("b", ON_RECORD)
+    assert not outcome.ok
+    [event] = outcome.events
+    method = kernel.snapshot.table.resolve_qname("A.m")
+    assert event.details["changed"] == [{"element": method, "change": "modified"}]
+    assert event.details["blocked"] == []
+    assert kernel.devs["b"].mode == OFF_RECORD
+    assert "f = 3;" in kernel.snapshot.text
+
+
+def test_reconcile_ignores_work_another_developer_left_pending_and_reverted():
+    # the buffered delete touches only what the developer's own view held
+    kernel = make(DELETE_RACE, devs=("a", "b"))
+    assert kernel.request_edit("a", EditRequest("insert_statement", "A.m/body", {"text": "f = 3;"})).granted
+    kernel.set_mode("b", OFF_RECORD)
+    op, _report = kernel.buffer_edit("b", EditRequest("delete_method", "A.m"))
+    kernel.revert("a")
+    outcome = kernel.set_mode("b", ON_RECORD)
+    assert outcome.ok
+    assert outcome.events[0].details == {"result": "clean", "ops": 1}
+    assert kernel.locks_of("b") == set(op.touched)
+    assert "void m()" not in kernel.view_text("b")
+
+
+@pytest.mark.parametrize("add_first", [True, False])
+def test_reconcile_refuses_a_delete_of_work_pending_beneath_it(add_first):
+    # another developer's pending field lies beneath the buffered delete
+    # whichever came first; a clean reconcile would let a commit of the
+    # delete make that field's rebase fail
+    kernel = make(DELETE_RACE, devs=("a", "b"))
+    add = EditRequest("add_field", "A", {"type": "int", "name": "g"})
+    if add_first:
+        assert kernel.request_edit("a", add).granted
+    kernel.set_mode("b", OFF_RECORD)
+    kernel.buffer_edit("b", EditRequest("delete_class", "A"))
+    if not add_first:
+        assert kernel.request_edit("a", add).granted
+    outcome = kernel.set_mode("b", ON_RECORD)
+    assert not outcome.ok
+    [event] = outcome.events
+    assert event.details["changed"] == []
+    field = kernel.view_table("a").resolve_qname("A.g")
+    assert {"holder": "a", "rule": 1, "pair": [field, field]} in event.details["blocked"]
+    assert kernel.devs["b"].mode == OFF_RECORD
+    assert kernel.try_commit("a").ok
+    assert "int g;" in kernel.snapshot.text
+
+
 BRANCHY = textwrap.dedent(
     """\
     class C {
@@ -783,7 +852,28 @@ class KernelMachine(RuleBasedStateMachine):
 
     @rule(dev=st.sampled_from(_DEVS))
     def come_back_on_record(self, dev):
-        self.kernel.set_mode(dev, ON_RECORD)
+        touched = {eid for op in self.kernel.devs[dev].ops for eid in op.touched}
+        outcome = self.kernel.set_mode(dev, ON_RECORD)
+        if outcome.events and outcome.events[0].details.get("result") == "clean":
+            self.reconciled = (dev, touched)
+
+    @invariant()
+    def a_clean_reconcile_drops_only_what_its_ops_touched(self):
+        # a buffered op may remove only elements it touched: whatever else
+        # the snapshot holds, the view returning to the record holds too
+        dev, touched = getattr(self, "reconciled", (None, None))
+        if dev is None:
+            return
+        self.reconciled = (None, None)
+        missing = set(self.kernel.snapshot.table.elements) - set(self.kernel.view_table(dev).elements)
+        assert missing <= touched, dev
+
+    @invariant()
+    def no_rebase_drops_pending_work(self):
+        # lock discipline leaves every rebase something to apply its ops to
+        if not hasattr(self, "kernel"):
+            return
+        assert not [e for e in self.kernel.events if e.details.get("reason") == "rebase-failure"]
 
     @invariant()
     def snapshot_is_buildable(self):
